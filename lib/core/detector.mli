@@ -35,6 +35,7 @@ val set_watched : t -> peer:int -> bool -> unit
     suspected by {!tick}.  Everyone is watched after {!create}; sharding
     narrows the mask to the node's share-set peers — silence from a node
     this one never exchanges traffic with is not evidence of anything.
+    The protocol also heartbeats exactly the watched peers.
     Unwatching a currently suspected peer clears the suspicion (without
     counting an unsuspect event). *)
 

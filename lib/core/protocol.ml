@@ -68,20 +68,56 @@ type state = {
   mutable tracing : bool;
 }
 
-(* Narrow every detector's watch mask to the node's share-set peers.
-   Re-run after any subscription change: joining a shard means watching its
-   share-set (and being watched back — [Shard.peers] is symmetric). *)
-let refresh_watch_masks ~detectors ~sharding ~nodes =
-  match (detectors, sharding) with
-  | Some dets, Some s ->
-      Array.iteri
-        (fun me det ->
-          let peers = Shard.peers s ~node:me in
-          for p = 0 to nodes - 1 do
-            if p <> me then Detector.set_watched det ~peer:p (List.mem p peers)
-          done)
-        dets
-  | _ -> ()
+(* {1 Failure-detector watch masks}
+
+   Under sharding node [a]'s detector watches [b] iff the two share some
+   shard — exactly [Shard.peers], which is symmetric — and the mask is
+   also [a]'s heartbeat fan-out set.  [create] narrows the masks once;
+   afterwards each share-set join or leave updates only the pairs it can
+   change, so a subscription costs share-set width, not cluster width
+   squared.  A pair is only ever unwatched via [Detector.set_watched],
+   which clears any suspicion, so an unwatched peer is never suspected. *)
+
+let init_watch_masks dets s =
+  Array.iteri
+    (fun me det ->
+      for p = 0 to Array.length dets - 1 do
+        if p <> me then Detector.set_watched det ~peer:p false
+      done;
+      List.iter (fun p -> Detector.set_watched det ~peer:p true) (Shard.peers s ~node:me))
+    dets
+
+let set_pair dets a b watched =
+  Detector.set_watched dets.(a) ~peer:b watched;
+  Detector.set_watched dets.(b) ~peer:a watched
+
+(* [node] joins [shard]: it now shares a shard with every member of the
+   share-set, whatever else they share. *)
+let join t s ~shard ~node =
+  Shard.subscribe s ~shard ~node;
+  match t.detectors with
+  | Some dets ->
+      List.iter (fun y -> if y <> node then set_pair dets node y true) (Shard.subscribers s shard)
+  | None -> ()
+
+(* [node] left [shard]: only its pairs with the remaining share-set can
+   have changed, and each stays watched iff the two still share a shard. *)
+let leave t s ~shard ~node =
+  Shard.unsubscribe s ~shard ~node;
+  match t.detectors with
+  | Some dets ->
+      let share a b =
+        let rec from k =
+          k < Shard.count s
+          && ((Shard.subscribed s ~shard:k ~node:a && Shard.subscribed s ~shard:k ~node:b)
+             || from (k + 1))
+        in
+        from 0
+      in
+      List.iter
+        (fun y -> if y <> node then set_pair dets node y (share node y))
+        (Shard.subscribers s shard)
+  | None -> ()
 
 let create ~owner ~config ?detector ?sharding ~now () =
   let processes = Owner.nodes owner in
@@ -96,7 +132,7 @@ let create ~owner ~config ?detector ?sharding ~now () =
         Some (Array.init processes (fun me -> Detector.create cfg ~nodes:processes ~me ~now))
     | Some _ | None -> None
   in
-  refresh_watch_masks ~detectors ~sharding ~nodes:processes;
+  (match (detectors, sharding) with Some dets, Some s -> init_watch_masks dets s | _ -> ());
   {
     nodes = Array.init processes (fun id -> Node.create ~id ~owner ~config);
     owner;
@@ -148,6 +184,9 @@ let quorum_for t ~base =
 
 let suspected t ~me ~peer =
   match t.detectors with Some dets -> Detector.suspected dets.(me) peer | None -> false
+
+let watched t ~me ~peer =
+  match t.detectors with Some dets -> Detector.watched dets.(me) ~peer | None -> false
 
 let backup_of t ~serving =
   match t.sharding with
@@ -305,11 +344,7 @@ let note_access t ~src loc =
   | None -> ()
   | Some s ->
       let shard = Shard.of_loc s loc in
-      if not (Shard.subscribed s ~shard ~node:src) then begin
-        Shard.subscribe s ~shard ~node:src;
-        refresh_watch_masks ~detectors:t.detectors ~sharding:t.sharding
-          ~nodes:(Array.length t.nodes)
-      end
+      if not (Shard.subscribed s ~shard ~node:src) then join t s ~shard ~node:src
 
 (* Broadcast scoping: with sharding, per-base traffic fans out to the
    base's share-set only (takeover announcements, demotion frontiers), and
@@ -325,10 +360,14 @@ let ring_targets t ~me ~base =
   | None -> List.filter (fun d -> d <> me) (List.init (Array.length t.nodes) Fun.id)
   | Some s -> List.filter (fun d -> d <> me) (Shard.ring s (Shard.of_base s base))
 
-let hb_targets t ~me =
-  match t.sharding with
-  | None -> List.filter (fun d -> d <> me) (List.init (Array.length t.nodes) Fun.id)
-  | Some s -> Shard.peers s ~node:me
+(* The watch mask is the heartbeat fan-out set: every other node without
+   sharding, [Shard.peers] with it. *)
+let hb_targets t ~me det =
+  let acc = ref [] in
+  for p = Array.length t.nodes - 1 downto 0 do
+    if p <> me && Detector.watched det ~peer:p then acc := p :: !acc
+  done;
+  !acc
 
 (* Reachability for the owner-side lease check, scoped to the electorate
    that matters: under sharding an owner's quorum is over its own ring. *)
@@ -842,11 +881,7 @@ let handle_message t acc ~me ~src ~now msg =
         (match t.sharding with
         | Some s ->
             let shard = Shard.of_base s base in
-            if not (Shard.subscribed s ~shard ~node:src) then begin
-              Shard.subscribe s ~shard ~node:src;
-              refresh_watch_masks ~detectors:t.detectors ~sharding:t.sharding
-                ~nodes:(Array.length t.nodes)
-            end
+            if not (Shard.subscribed s ~shard ~node:src) then join t s ~shard ~node:src
         | None -> ());
         if Node.serving_of node ~base = me then begin
           let entries = Node.served_entries node ~base in
@@ -896,7 +931,7 @@ let step t event =
                      size = 1 + List.length view;
                      msg = Message.Heartbeat { view };
                    }))
-            (hb_targets t ~me);
+            (hb_targets t ~me dets.(me));
           let newly = Detector.tick dets.(me) ~now in
           List.iter
             (fun peer ->
@@ -984,9 +1019,7 @@ let step t event =
              && shard >= 0
              && shard < Shard.count s
              && not (Shard.subscribed s ~shard ~node:me) ->
-          Shard.subscribe s ~shard ~node:me;
-          refresh_watch_masks ~detectors:t.detectors ~sharding:t.sharding
-            ~nodes:(Array.length t.nodes);
+          join t s ~shard ~node:me;
           let node = t.nodes.(me) in
           List.iter
             (fun base ->
@@ -1015,9 +1048,7 @@ let step t event =
              && shard < Shard.count s
              && Shard.subscribed s ~shard ~node:me
              && not (Shard.in_ring s ~shard ~node:me) ->
-          Shard.unsubscribe s ~shard ~node:me;
-          refresh_watch_masks ~detectors:t.detectors ~sharding:t.sharding
-            ~nodes:(Array.length t.nodes);
+          leave t s ~shard ~node:me;
           let node = t.nodes.(me) in
           List.iter
             (fun loc ->

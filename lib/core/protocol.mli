@@ -162,6 +162,12 @@ val subscriptions : state -> (int * int list) list
 
 val suspected : state -> me:int -> peer:int -> bool
 
+val watched : state -> me:int -> peer:int -> bool
+(** Whether [me]'s failure detector watches [peer] — and so heartbeats
+    it.  Under sharding this holds iff [peer] is in
+    [Dsm_memory.Shard.peers] of [me]; without sharding every peer is
+    watched.  [false] without failover. *)
+
 val backup_of : state -> serving:int -> int option
 (** The designated backup of whatever [serving] certifies: its ring
     successor; [None] in a single-node cluster. *)

@@ -100,6 +100,7 @@ let subscribe t ~shard ~node =
 let unsubscribe t ~shard ~node =
   (* Ring members are permanent: the owner ring is the shard's replication
      floor, so only runtime subscribers can leave. *)
+  check_node t node;
   if not (in_ring t ~shard ~node) then Hashtbl.remove t.subscribers.(shard) node
 
 let subscribers t shard =

@@ -146,11 +146,85 @@ let test_share_set_gc () =
   Alcotest.(check bool) "history causally correct" true
     (Dsm_checker.Causal_check.is_correct (Cluster.history c))
 
+(* The detectors' watch masks are updated incrementally on share-set joins
+   and leaves; after any sequence of them they must still equal the
+   reference definition: [a] watches [b] iff [b] is in [Shard.peers a], and
+   a heartbeat tick at [a] beacons exactly [Shard.peers a], in that order. *)
+let test_watch_masks_track_peers () =
+  let module P = Dsm_protocol.Protocol in
+  let module Message = Dsm_protocol.Message in
+  let module Prng = Dsm_util.Prng in
+  let nodes = 12 and shards = 4 in
+  let s = Shard.make ~nodes ~shards in
+  let owner = Shard.owner s in
+  let t =
+    P.create ~owner ~config:Dsm_protocol.Config.default
+      ~detector:{ Dsm_protocol.Detector.period = 5.0; suspect_after = 3 }
+      ~sharding:s ~now:0.0 ()
+  in
+  let step ev = ignore (P.step t ev) in
+  let check what =
+    for a = 0 to nodes - 1 do
+      let peers = Shard.peers s ~node:a in
+      for b = 0 to nodes - 1 do
+        if b <> a && P.watched t ~me:a ~peer:b <> List.mem b peers then
+          Alcotest.failf "%s: node %d watches %d is %b" what a b (P.watched t ~me:a ~peer:b)
+      done;
+      let _, acts = P.step t (P.Hb_tick { node = a; now = 0.0 }) in
+      let hb =
+        List.filter_map (function P.Send { dst; kind = "HB"; _ } -> Some dst | _ -> None) acts
+      in
+      Alcotest.(check (list int)) (Printf.sprintf "%s: HB fan-out of %d" what a) peers hb
+    done
+  in
+  check "initial";
+  (* Rings are {0,1,2} {3,4,5} {6,7,8} {9,10,11}.  Outsiders 6 and 9 both
+     join shards 0 and 1; when 9 leaves shard 0 the pair still shares
+     shard 1 and must stay watched, while 9's pairs with ring 0 go. *)
+  List.iter
+    (fun (node, shard) -> step (P.Subscribe { node; shard }))
+    [ (6, 0); (6, 1); (9, 0); (9, 1) ];
+  check "joins";
+  step (P.Unsubscribe { node = 9; shard = 0 });
+  Alcotest.(check bool) "pair kept by a second shard" true
+    (P.watched t ~me:9 ~peer:6 && P.watched t ~me:6 ~peer:9);
+  Alcotest.(check bool) "left ring 0" false (P.watched t ~me:9 ~peer:0 || P.watched t ~me:0 ~peer:9);
+  check "leave with a shard still shared";
+  step (P.Unsubscribe { node = 9; shard = 1 });
+  Alcotest.(check bool) "no shard shared" false (P.watched t ~me:9 ~peer:6);
+  check "leave the last shared shard";
+  (* Random joins and leaves through every path that changes a share-set:
+     explicit Subscribe/Unsubscribe, SUB_REQ deliveries and reads served
+     to outsiders (subscribe-on-access). *)
+  let prng = Prng.create 12L in
+  for i = 1 to 300 do
+    let node = Prng.int prng nodes and shard = Prng.int prng shards in
+    (match Prng.int prng 4 with
+    | 0 -> step (P.Subscribe { node; shard })
+    | 1 -> step (P.Unsubscribe { node; shard })
+    | 2 ->
+        let base = List.nth (Shard.ring s shard) (Prng.int prng (Shard.ring_size s shard)) in
+        step (P.Deliver { dst = base; src = node; now = 0.0; msg = Message.Sub_req { base } })
+    | _ ->
+        let loc = Loc.indexed "v" (Prng.int prng (4 * nodes)) in
+        step
+          (P.Deliver
+             {
+               dst = Owner.owner owner loc;
+               src = node;
+               now = 0.0;
+               msg = Message.Read_req { req = i; loc; epoch = 0 };
+             }));
+    check (Printf.sprintf "step %d" i)
+  done
+
 let test_make_validates () =
   Alcotest.check_raises "zero shards" (Invalid_argument "Shard.make: need 1 <= shards <= nodes")
     (fun () -> ignore (Shard.make ~nodes:4 ~shards:0));
   Alcotest.check_raises "too many" (Invalid_argument "Shard.make: need 1 <= shards <= nodes")
-    (fun () -> ignore (Shard.make ~nodes:4 ~shards:5))
+    (fun () -> ignore (Shard.make ~nodes:4 ~shards:5));
+  Alcotest.check_raises "unsubscribe checks the node" (Invalid_argument "Shard: node id out of range")
+    (fun () -> Shard.unsubscribe (Shard.make ~nodes:4 ~shards:2) ~shard:0 ~node:999)
 
 let suite =
   [
@@ -164,5 +238,6 @@ let suite =
     Alcotest.test_case "induced owner consistent" `Quick test_induced_owner_consistent;
     Alcotest.test_case "subscriptions canonical" `Quick test_subscriptions_canonical;
     Alcotest.test_case "share-set GC collects idle subscribers" `Quick test_share_set_gc;
+    Alcotest.test_case "watch masks track peers" `Quick test_watch_masks_track_peers;
     Alcotest.test_case "make validates" `Quick test_make_validates;
   ]
