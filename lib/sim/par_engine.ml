@@ -187,7 +187,7 @@ let send t ~kind ~src ~dst ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
   b.(o + 4) <- value;
   b.(o + 5) <- wid_node;
   b.(o + 6) <- wid_seq;
-  Array.blit stamp stamp_off b (o + 7) t.p.nodes;
+  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:b ~dst_off:(o + 7) ~dim:t.p.nodes;
   mb.len <- o + t.stride
 
 let log_op t ~node ~kind ~loc ~value ~wid_node ~wid_seq =

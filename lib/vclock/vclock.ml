@@ -17,48 +17,7 @@ let increment vt i =
   vt'.(i) <- vt'.(i) + 1;
   vt'
 
-let check_dim a b name =
-  if Array.length a <> Array.length b then invalid_arg (name ^ ": dimension mismatch")
-
-let update a b =
-  check_dim a b "Vclock.update";
-  Array.init (Array.length a) (fun i -> if a.(i) >= b.(i) then a.(i) else b.(i))
-
-let of_array a =
-  if Array.length a = 0 then invalid_arg "Vclock.of_array: empty";
-  Array.copy a
-
-let to_array = Array.copy
-
 type order = Before | After | Equal | Concurrent
-
-let compare_vt a b =
-  check_dim a b "Vclock.compare_vt";
-  let a_le = ref true and b_le = ref true in
-  for i = 0 to Array.length a - 1 do
-    if a.(i) > b.(i) then a_le := false;
-    if b.(i) > a.(i) then b_le := false
-  done;
-  match (!a_le, !b_le) with
-  | true, true -> Equal
-  | true, false -> Before
-  | false, true -> After
-  | false, false -> Concurrent
-
-let lt a b = compare_vt a b = Before
-
-let equal a b = compare_vt a b = Equal
-
-let leq a b = match compare_vt a b with Before | Equal -> true | After | Concurrent -> false
-
-let concurrent a b = compare_vt a b = Concurrent
-
-let sum vt = Array.fold_left ( + ) 0 vt
-
-let pp ppf vt =
-  Format.fprintf ppf "[%s]" (String.concat ";" (Array.to_list (Array.map string_of_int vt)))
-
-let to_string vt = Format.asprintf "%a" pp vt
 
 (* {1 Flat windows}
 
@@ -67,28 +26,46 @@ let to_string vt = Format.asprintf "%a" pp vt
    word offset.  Every operation here is in-place or a pure fold: none
    allocates, which is what the microbench ALLOC=0 gate measures.  Bounds
    are the caller's contract — these run inside loops already bounded by the
-   arena layout, and [Array.get]/[set] still check each access. *)
+   arena layout, and [Array.get]/[set] still check each access.
+
+   Every window is annotated [int array]: on a polymorphic window each [>]
+   is a [caml_greaterthan] call.  That allocates nothing, so the ALLOC=0
+   gate cannot see it; a CI [nm] step can.  The copying API below runs
+   these same kernels at offset 0. *)
 
 module Flat = struct
-  let merge_into ~dst ~dst_off ~src ~src_off ~dim =
+  let merge_into ~(dst : int array) ~dst_off ~(src : int array) ~src_off ~dim =
     for i = 0 to dim - 1 do
-      let s : int = src.(src_off + i) in
+      let s = src.(src_off + i) in
       if s > dst.(dst_off + i) then dst.(dst_off + i) <- s
     done
 
-  let blit ~src ~src_off ~dst ~dst_off ~dim = Array.blit src src_off dst dst_off dim
+  (* [Array.blit]'s overlap semantics without its per-word [caml_modify] on
+     a major-heap arena: copy downwards when the destination starts inside
+     the source window of the same array. *)
+  let blit ~(src : int array) ~src_off ~(dst : int array) ~dst_off ~dim =
+    if src == dst && src_off < dst_off then
+      for i = dim - 1 downto 0 do
+        dst.(dst_off + i) <- src.(src_off + i)
+      done
+    else
+      for i = 0 to dim - 1 do
+        dst.(dst_off + i) <- src.(src_off + i)
+      done
 
-  let bump a ~off i = a.(off + i) <- a.(off + i) + 1
+  let bump (a : int array) ~off i = a.(off + i) <- a.(off + i) + 1
 
-  let fill_zero a ~off ~dim = Array.fill a off dim 0
+  let fill_zero (a : int array) ~off ~dim = Array.fill a off dim 0
 
-  (* [Before]/[After]/[Equal]/[Concurrent] over two windows, returned as the
-     copying API's [order] so agreement tests are direct. *)
-  let compare_vt a ~a_off b ~b_off ~dim =
+  (* Stops once both directions have differed: the verdict is then
+     [Concurrent] whatever the remaining components hold. *)
+  let compare_vt (a : int array) ~a_off (b : int array) ~b_off ~dim =
     let a_le = ref true and b_le = ref true in
-    for i = 0 to dim - 1 do
-      if a.(a_off + i) > b.(b_off + i) then a_le := false;
-      if b.(b_off + i) > a.(a_off + i) then b_le := false
+    let i = ref 0 in
+    while (!a_le || !b_le) && !i < dim do
+      let x = a.(a_off + !i) and y = b.(b_off + !i) in
+      if x > y then a_le := false else if y > x then b_le := false;
+      i := !i + 1
     done;
     match (!a_le, !b_le) with
     | true, true -> Equal
@@ -96,7 +73,7 @@ module Flat = struct
     | false, true -> After
     | false, false -> Concurrent
 
-  let lt a ~a_off b ~b_off ~dim =
+  let lt (a : int array) ~a_off (b : int array) ~b_off ~dim =
     let a_le = ref true and b_gt = ref false in
     let i = ref 0 in
     while !a_le && !i < dim do
@@ -106,7 +83,7 @@ module Flat = struct
     done;
     !a_le && !b_gt
 
-  let leq a ~a_off b ~b_off ~dim =
+  let leq (a : int array) ~a_off (b : int array) ~b_off ~dim =
     let ok = ref true in
     let i = ref 0 in
     while !ok && !i < dim do
@@ -116,10 +93,46 @@ module Flat = struct
     !ok
 end
 
+(* Returns the shared dimension, so a kernel never runs to [a]'s length
+   over a longer [b] and silently ignores its extra components. *)
+let check_dim a b name =
+  if Array.length a <> Array.length b then invalid_arg (name ^ ": dimension mismatch");
+  Array.length a
+
+let update a b =
+  let dim = check_dim a b "Vclock.update" in
+  let u = Array.copy a in
+  Flat.merge_into ~dst:u ~dst_off:0 ~src:b ~src_off:0 ~dim;
+  u
+
+let of_array a =
+  if Array.length a = 0 then invalid_arg "Vclock.of_array: empty";
+  Array.copy a
+
+let to_array = Array.copy
+
+let compare_vt a b = Flat.compare_vt a ~a_off:0 b ~b_off:0 ~dim:(check_dim a b "Vclock.compare_vt")
+
+let lt a b = Flat.lt a ~a_off:0 b ~b_off:0 ~dim:(check_dim a b "Vclock.lt")
+
+let leq a b = Flat.leq a ~a_off:0 b ~b_off:0 ~dim:(check_dim a b "Vclock.leq")
+
+let equal a b = Flat.compare_vt a ~a_off:0 b ~b_off:0 ~dim:(check_dim a b "Vclock.equal") = Equal
+
+let concurrent a b =
+  Flat.compare_vt a ~a_off:0 b ~b_off:0 ~dim:(check_dim a b "Vclock.concurrent") = Concurrent
+
+let sum vt = Array.fold_left ( + ) 0 vt
+
+let pp ppf vt =
+  Format.fprintf ppf "[%s]" (String.concat ";" (Array.to_list (Array.map string_of_int vt)))
+
+let to_string vt = Format.asprintf "%a" pp vt
+
 let total_compare a b =
-  check_dim a b "Vclock.total_compare";
+  let dim = check_dim a b "Vclock.total_compare" in
   let rec go i =
-    if i = Array.length a then 0
+    if i = dim then 0
     else begin
       let c = Int.compare a.(i) b.(i) in
       if c <> 0 then c else go (i + 1)

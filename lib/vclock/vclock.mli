@@ -69,13 +69,17 @@ val total_compare : t -> t -> int
     a caller-owned flat [int array] (an arena of many clocks side by side).
     The hot path ({!Dsm_protocol.Flat}) preallocates its arenas once per
     run and reuses them across steps; nothing here allocates — the property
-    tests pin each operation to its copying counterpart above, and the
-    microbench ALLOC=0 gate pins the no-allocation claim. *)
+    tests pin each operation to a product-order reference, and the
+    microbench ALLOC=0 gate pins the no-allocation claim.  The copying API
+    above is these kernels at offset 0, after its dimension check. *)
 module Flat : sig
   val merge_into : dst:int array -> dst_off:int -> src:int array -> src_off:int -> dim:int -> unit
   (** In-place component-wise maximum: [dst := update(dst, src)]. *)
 
   val blit : src:int array -> src_off:int -> dst:int array -> dst_off:int -> dim:int -> unit
+  (** [Array.blit src src_off dst dst_off dim], overlapping windows of one
+      arena included, as a word loop: no [caml_modify] per word when the
+      arena lives in the major heap. *)
 
   val bump : int array -> off:int -> int -> unit
   (** [bump a ~off i] increments component [i] of the window at [off]. *)
@@ -83,6 +87,8 @@ module Flat : sig
   val fill_zero : int array -> off:int -> dim:int -> unit
 
   val compare_vt : int array -> a_off:int -> int array -> b_off:int -> dim:int -> order
+  (** The product-order verdict of {!Vclock.compare_vt}; stops scanning once
+      both directions have differed. *)
 
   val lt : int array -> a_off:int -> int array -> b_off:int -> dim:int -> bool
   (** Strictly before on the product order — agrees with {!Vclock.lt}. *)

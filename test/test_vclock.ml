@@ -72,23 +72,87 @@ let test_total_compare_refines () =
   Alcotest.(check bool) "orders concurrents" true (Vclock.total_compare a b <> 0);
   Alcotest.(check int) "reflexive" 0 (Vclock.total_compare a a)
 
-let gen_clock =
+let test_dim_mismatch_names_caller () =
+  (* The longer clock goes second too: a kernel run to the first argument's
+     dimension would otherwise ignore the extra component silently. *)
+  let short = Vclock.zero 3 and long = Vclock.increment (Vclock.zero 4) 3 in
+  let case name f =
+    let exn = Invalid_argument (name ^ ": dimension mismatch") in
+    Alcotest.check_raises (name ^ " 3 vs 4") exn (fun () -> ignore (f short long));
+    Alcotest.check_raises (name ^ " 4 vs 3") exn (fun () -> ignore (f long short))
+  in
+  case "Vclock.update" Vclock.update;
+  case "Vclock.compare_vt" Vclock.compare_vt;
+  case "Vclock.lt" Vclock.lt;
+  case "Vclock.leq" Vclock.leq;
+  case "Vclock.equal" Vclock.equal;
+  case "Vclock.concurrent" Vclock.concurrent;
+  case "Vclock.total_compare" Vclock.total_compare
+
+(* {2 Generators}
+
+   Dimensions 1–300, past the 256-node stamps the simulator runs.  Two
+   random wide clocks are almost always concurrent, which lets a kernel
+   stop early; equal pairs and pairs one tick apart (in either direction,
+   often at the last component) make every scan run to the end. *)
+
+let gen_array dim = QCheck.Gen.(array_size (return dim) (int_range 0 5))
+
+let gen_raw_clock = QCheck.Gen.(int_range 1 300 >>= gen_array)
+
+let gen_raw_pair =
+  let open QCheck.Gen in
+  let* dim = int_range 1 300 in
+  let* a = gen_array dim in
+  let tick_at i =
+    let b = Array.copy a in
+    b.(i) <- b.(i) + 1;
+    b
+  in
+  let* i = oneof [ return (dim - 1); int_range 0 (dim - 1) ] in
+  oneof
+    [
+      map (fun b -> (a, b)) (gen_array dim);
+      return (a, Array.copy a);
+      return (a, tick_at i);
+      return (tick_at i, a);
+    ]
+
+let show a = Vclock.to_string (Vclock.of_array a)
+
+let gen_clock = QCheck.make ~print:show gen_raw_clock
+
+let gen_pair =
+  QCheck.make ~print:(fun (a, b) -> Printf.sprintf "(%s, %s)" (show a) (show b)) gen_raw_pair
+
+let gen_triple =
   QCheck.make
-    ~print:(fun arr -> Vclock.to_string (Vclock.of_array arr))
-    QCheck.Gen.(map Array.of_list (list_size (return 4) (int_range 0 5)))
+    ~print:(fun (a, b, c) -> Printf.sprintf "(%s, %s, %s)" (show a) (show b) (show c))
+    QCheck.Gen.(
+      let* a, b = gen_raw_pair in
+      map (fun c -> (a, b, c)) (gen_array (Array.length a)))
+
+(* The product order, written out independently of [Vclock]: the
+   reference both the flat kernels and the copying API are checked
+   against. *)
+let ref_order a b =
+  let le x y = Array.for_all2 ( <= ) x y in
+  match (le a b, le b a) with
+  | true, true -> Vclock.Equal
+  | true, false -> Vclock.Before
+  | false, true -> Vclock.After
+  | false, false -> Vclock.Concurrent
+
+let ref_merge a b = Array.map2 max a b
 
 let prop_update_upper_bound =
-  QCheck.Test.make ~name:"update dominates both arguments" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
+  QCheck.Test.make ~name:"update dominates both arguments" ~count:300 gen_pair (fun (a, b) ->
       let a = Vclock.of_array a and b = Vclock.of_array b in
       let u = Vclock.update a b in
       Vclock.leq a u && Vclock.leq b u)
 
 let prop_update_least =
-  QCheck.Test.make ~name:"update is the least upper bound" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
+  QCheck.Test.make ~name:"update is the least upper bound" ~count:300 gen_pair (fun (a, b) ->
       let a = Vclock.of_array a and b = Vclock.of_array b in
       let u = Vclock.update a b in
       (* every component comes from one of the inputs *)
@@ -101,11 +165,12 @@ let prop_update_least =
 let prop_increment_after =
   QCheck.Test.make ~name:"increment strictly dominates" ~count:300 gen_clock (fun a ->
       let a = Vclock.of_array a in
-      Vclock.compare_vt (Vclock.increment a 2) a = Vclock.After)
+      let i = Vclock.dim a - 1 in
+      Vclock.compare_vt (Vclock.increment a i) a = Vclock.After
+      && Vclock.compare_vt (Vclock.increment a 0) a = Vclock.After)
 
 let prop_compare_antisymmetric =
-  QCheck.Test.make ~name:"compare antisymmetry" ~count:300 (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
+  QCheck.Test.make ~name:"compare antisymmetry" ~count:300 gen_pair (fun (a, b) ->
       let a = Vclock.of_array a and b = Vclock.of_array b in
       match Vclock.compare_vt a b with
       | Vclock.Before -> Vclock.compare_vt b a = Vclock.After
@@ -114,15 +179,12 @@ let prop_compare_antisymmetric =
       | Vclock.Concurrent -> Vclock.compare_vt b a = Vclock.Concurrent)
 
 let prop_update_commutative =
-  QCheck.Test.make ~name:"update commutative" ~count:200 (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
+  QCheck.Test.make ~name:"update commutative" ~count:200 gen_pair (fun (a, b) ->
       let a = Vclock.of_array a and b = Vclock.of_array b in
       Vclock.equal (Vclock.update a b) (Vclock.update b a))
 
 let prop_update_associative =
-  QCheck.Test.make ~name:"update associative" ~count:200
-    (QCheck.triple gen_clock gen_clock gen_clock)
-    (fun (a, b, c) ->
+  QCheck.Test.make ~name:"update associative" ~count:200 gen_triple (fun (a, b, c) ->
       let a = Vclock.of_array a and b = Vclock.of_array b and c = Vclock.of_array c in
       Vclock.equal
         (Vclock.update (Vclock.update a b) c)
@@ -133,12 +195,13 @@ let prop_update_idempotent =
       let a = Vclock.of_array a in
       Vclock.equal (Vclock.update a a) a)
 
-(* {2 Flat-window agreement}
+(* {2 Kernels and copying API against the reference}
 
-   The allocation-free flat ops are the hot path's substitute for the
-   copying API; each one must agree with its counterpart on random clocks.
-   Windows are planted at a nonzero offset inside a larger arena so an
-   off-by-one against the offset arithmetic can't hide. *)
+   The copying API is the flat kernels at offset 0, so each property
+   checks both against the product-order reference above rather than
+   against each other.  Windows are planted at a nonzero offset inside a
+   larger arena so an off-by-one against the offset arithmetic can't
+   hide. *)
 
 let flat_pair_arena (a, b) =
   (* One arena holding garbage, then [a], then [b]: offsets 1 and 1+dim. *)
@@ -149,30 +212,33 @@ let flat_pair_arena (a, b) =
   (arena, 1, 1 + dim, dim)
 
 let prop_flat_compare_agrees =
-  QCheck.Test.make ~name:"flat compare agrees with compare_vt" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
-      let arena, ao, bo, dim = flat_pair_arena (a, b) in
-      Vclock.Flat.compare_vt arena ~a_off:ao arena ~b_off:bo ~dim
-      = Vclock.compare_vt (Vclock.of_array a) (Vclock.of_array b))
-
-let prop_flat_lt_leq_agree =
-  QCheck.Test.make ~name:"flat lt/leq agree with lt/leq" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
+  QCheck.Test.make ~name:"flat compare agrees with compare_vt" ~count:300 gen_pair (fun (a, b) ->
       let arena, ao, bo, dim = flat_pair_arena (a, b) in
       let va = Vclock.of_array a and vb = Vclock.of_array b in
-      Vclock.Flat.lt arena ~a_off:ao arena ~b_off:bo ~dim = Vclock.lt va vb
-      && Vclock.Flat.leq arena ~a_off:ao arena ~b_off:bo ~dim = Vclock.leq va vb)
+      let r = ref_order a b in
+      Vclock.Flat.compare_vt arena ~a_off:ao arena ~b_off:bo ~dim = r
+      && Vclock.compare_vt va vb = r
+      && Vclock.equal va vb = (r = Vclock.Equal)
+      && Vclock.concurrent va vb = (r = Vclock.Concurrent))
+
+let prop_flat_lt_leq_agree =
+  QCheck.Test.make ~name:"flat lt/leq agree with lt/leq" ~count:300 gen_pair (fun (a, b) ->
+      let arena, ao, bo, dim = flat_pair_arena (a, b) in
+      let va = Vclock.of_array a and vb = Vclock.of_array b in
+      let r = ref_order a b in
+      let lt = r = Vclock.Before and leq = r = Vclock.Before || r = Vclock.Equal in
+      Vclock.Flat.lt arena ~a_off:ao arena ~b_off:bo ~dim = lt
+      && Vclock.lt va vb = lt
+      && Vclock.Flat.leq arena ~a_off:ao arena ~b_off:bo ~dim = leq
+      && Vclock.leq va vb = leq)
 
 let prop_flat_merge_agrees =
-  QCheck.Test.make ~name:"flat merge_into agrees with update" ~count:300
-    (QCheck.pair gen_clock gen_clock)
-    (fun (a, b) ->
+  QCheck.Test.make ~name:"flat merge_into agrees with update" ~count:300 gen_pair (fun (a, b) ->
       let arena, ao, bo, dim = flat_pair_arena (a, b) in
       Vclock.Flat.merge_into ~dst:arena ~dst_off:ao ~src:arena ~src_off:bo ~dim;
-      let expect = Vclock.to_array (Vclock.update (Vclock.of_array a) (Vclock.of_array b)) in
+      let expect = ref_merge a b in
       Array.sub arena ao dim = expect
+      && Vclock.to_array (Vclock.update (Vclock.of_array a) (Vclock.of_array b)) = expect
       && (* the source window and the guard words are untouched *)
       Array.sub arena bo dim = b
       && arena.(0) = 999
@@ -181,10 +247,44 @@ let prop_flat_merge_agrees =
 let prop_flat_bump_agrees =
   QCheck.Test.make ~name:"flat bump agrees with increment" ~count:300 gen_clock (fun a ->
       let dim = Array.length a in
+      let i = dim - 1 in
+      let expect = Array.copy a in
+      expect.(i) <- expect.(i) + 1;
       let arena = Array.make (dim + 2) 999 in
       Array.blit a 0 arena 1 dim;
-      Vclock.Flat.bump arena ~off:1 2;
-      Array.sub arena 1 dim = Vclock.to_array (Vclock.increment (Vclock.of_array a) 2))
+      Vclock.Flat.bump arena ~off:1 i;
+      Array.sub arena 1 dim = expect
+      && Vclock.to_array (Vclock.increment (Vclock.of_array a) i) = expect)
+
+(* Windows of one arena, often overlapping by a word or two in either
+   direction, or a copy into a second arena; [Array.blit] is the
+   reference. *)
+let gen_blit =
+  let open QCheck.Gen in
+  let* len = int_range 1 600 in
+  let* dim = int_range 0 len in
+  let* src_off = int_range 0 (len - dim) in
+  let clamp o = max 0 (min (len - dim) o) in
+  let* dst_off =
+    oneof [ int_range 0 (len - dim); map (fun d -> clamp (src_off + d)) (int_range (-3) 3) ]
+  in
+  let* same = bool in
+  return (len, dim, src_off, dst_off, same)
+
+let prop_flat_blit_agrees =
+  QCheck.Test.make ~name:"flat blit agrees with Array.blit" ~count:500
+    (QCheck.make
+       ~print:(fun (len, dim, so, d, same) ->
+         Printf.sprintf "len=%d dim=%d src_off=%d dst_off=%d same=%b" len dim so d same)
+       gen_blit)
+    (fun (len, dim, src_off, dst_off, same) ->
+      let src = Array.init len (fun i -> i) in
+      let dst = if same then src else Array.make len (-1) in
+      let src' = Array.copy src in
+      let dst' = if same then src' else Array.copy dst in
+      Vclock.Flat.blit ~src ~src_off ~dst ~dst_off ~dim;
+      Array.blit src' src_off dst' dst_off dim;
+      src = src' && dst = dst')
 
 let suite =
   [
@@ -201,6 +301,7 @@ let suite =
     Alcotest.test_case "sum" `Quick test_sum;
     Alcotest.test_case "pp" `Quick test_pp;
     Alcotest.test_case "total_compare" `Quick test_total_compare_refines;
+    Alcotest.test_case "dimension mismatch names caller" `Quick test_dim_mismatch_names_caller;
     QCheck_alcotest.to_alcotest prop_update_upper_bound;
     QCheck_alcotest.to_alcotest prop_update_least;
     QCheck_alcotest.to_alcotest prop_increment_after;
@@ -212,4 +313,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flat_lt_leq_agree;
     QCheck_alcotest.to_alcotest prop_flat_merge_agrees;
     QCheck_alcotest.to_alcotest prop_flat_bump_agrees;
+    QCheck_alcotest.to_alcotest prop_flat_blit_agrees;
   ]
