@@ -23,15 +23,15 @@ let bench_vclock_increment =
   Test.make ~name:"vclock.increment (dim 16)"
     (Staged.stage (fun () -> ignore (Vclock.increment a 3)))
 
-let bench_heap =
-  Test.make ~name:"heap push+pop x64"
+let bench_engine_queue =
+  Test.make ~name:"engine schedule_at+step x64"
     (Staged.stage (fun () ->
-         let h = Dsm_util.Heap.create ~cmp:Int.compare () in
+         let e = Dsm_sim.Engine.create () in
          for i = 63 downto 0 do
-           Dsm_util.Heap.push h i i
+           Dsm_sim.Engine.schedule_at e (float_of_int i) ignore
          done;
          for _ = 0 to 63 do
-           ignore (Dsm_util.Heap.pop h)
+           ignore (Dsm_sim.Engine.step e)
          done))
 
 let bench_closure =
@@ -145,7 +145,7 @@ let tests =
     bench_vclock_update;
     bench_vclock_compare;
     bench_vclock_increment;
-    bench_heap;
+    bench_engine_queue;
     bench_closure;
     bench_checker_fig2;
     bench_sc_fig5;

@@ -11,19 +11,21 @@
 type t
 
 val create : ?step_limit:int -> unit -> t
-(** [step_limit] (default [10_000_000]) bounds the number of events a single
-    [run] may dispatch; exceeding it raises [Failure], catching runaway
-    livelocks in tests. *)
+(** [step_limit] (default [10_000_000]) bounds the number of events the
+    engine may dispatch over its whole lifetime, counted across every
+    [step], [run] and [run_until] and never reset; the dispatch that
+    exceeds it raises [Failure], catching runaway livelocks in tests. *)
 
 val now : t -> float
 (** Current simulated time; starts at [0.]. *)
 
 val schedule_at : t -> float -> (unit -> unit) -> unit
 (** [schedule_at t time f] enqueues [f] at absolute [time].  Scheduling in
-    the past raises [Invalid_argument]. *)
+    the past, or at a NaN time, raises [Invalid_argument]. *)
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
-(** Relative scheduling; [delay >= 0.]. *)
+(** Relative scheduling; [delay >= 0.].  A negative or NaN delay raises
+    [Invalid_argument]. *)
 
 val run : t -> unit
 (** Dispatch events until the queue is empty (quiescence) or [stop]. *)
