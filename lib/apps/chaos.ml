@@ -723,8 +723,9 @@ let split_brain ?knobs ?seed ?processes ?ops_per_phase () =
    Nine nodes in three shard rings of three (quorum 2 per ring), a skewed
    workload where every client mostly touches its own shard, and two
    faults aimed exclusively at shard 0: a partition that isolates ring
-   member 2 (t=10..30), then a crash-stop of serving owner 0 at t=40 whose
-   ring successor 1 must win a shard-local canvass and take over.  Clients
+   member 2 (t=10..30), then a crash-stop of serving owner 0 at t=40 (or
+   when node 0's client finishes phase 2, if later) whose ring successor
+   1 must win a shard-local canvass and take over.  Clients
    of shards 1 and 2 must sail through both faults untouched — that is the
    fault-isolation property partial replication buys.  A late explicit
    subscribe from node 8 into shard 0 exercises the SUB_REQ/SUB_REPLY
@@ -752,7 +753,6 @@ let shard_scenario ?(knobs = default_knobs) ?(seed = 11L) ?(ops_per_phase = 3) (
       [
         { Nemesis.at = cut_at; fault = Nemesis.Cut { a = isolated; b = rest } };
         { at = heal_at; fault = Nemesis.Heal_all };
-        { at = crash_at; fault = Nemesis.Crash 0 };
       ]
   in
   (* Location i lives in shard [i mod 3] and is served by ring member
@@ -797,28 +797,37 @@ let shard_scenario ?(knobs = default_knobs) ?(seed = 11L) ?(ops_per_phase = 3) (
       (Proc.spawn sched
          ~name:(Printf.sprintf "client%d" pid)
          (fun () ->
-           for k = 1 to ops_per_phase do
-             do_op ~phase:1 ~window:None ~k (skewed ());
-             Proc.sleep 1.0
-           done;
-           sleep_until p2_start;
-           for k = 1 to ops_per_phase do
-             (* Own-shard traffic only while node 2 is cut off.  Shard 0's
-                surviving ring majority {0,1} steers around the isolated
-                base (a request parked on a frozen link would just wait
-                out the heal); the isolated client hammers its own shard
-                and takes the refusals. *)
-             let loc =
-               if my_shard = 0 && pid <> 2 then
-                 pick (List.filter (fun i -> Owner.owner owner (Workload.loc i) <> 2) own)
-               else pick own
-             in
-             do_op ~phase:2 ~window:(Some 0) ~k loc;
-             Proc.sleep 1.0
-           done;
-           if pid <> 0 then begin
-             (* Node 0 is crash-stopped at t=40 and never restarts; its
-                client retires after phase 2. *)
+           let phases_1_2 () =
+             for k = 1 to ops_per_phase do
+               do_op ~phase:1 ~window:None ~k (skewed ());
+               Proc.sleep 1.0
+             done;
+             sleep_until p2_start;
+             for k = 1 to ops_per_phase do
+               (* Own-shard traffic only while node 2 is cut off.  Shard 0's
+                  surviving ring majority {0,1} steers around the isolated
+                  base (a request parked on a frozen link would just wait
+                  out the heal); the isolated client hammers its own shard
+                  and takes the refusals. *)
+               let loc =
+                 if my_shard = 0 && pid <> 2 then
+                   pick (List.filter (fun i -> Owner.owner owner (Workload.loc i) <> 2) own)
+                 else pick own
+               in
+               do_op ~phase:2 ~window:(Some 0) ~k loc;
+               Proc.sleep 1.0
+             done
+           in
+           if pid = 0 then
+             (* Node 0's client retires after phase 2 by crash-stopping its
+                own node, never to restart — also if one of its operations
+                raised: a crash timed without regard to the client could
+                land mid-operation. *)
+             Fun.protect phases_1_2 ~finally:(fun () ->
+                 sleep_until crash_at;
+                 Nemesis.inject nem (Nemesis.Crash 0))
+           else begin
+             phases_1_2 ();
              sleep_until p3_start;
              if pid = 8 then Causal.subscribe c ~node:8 ~shard:0;
              for k = 1 to ops_per_phase do

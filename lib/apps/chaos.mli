@@ -178,9 +178,11 @@ val shard :
     rings of three (ring quorum 2), a skewed workload in which each client
     mostly touches its own shard, and two faults aimed only at shard 0 — a
     partition isolating ring member 2 (t=10..30), then a crash-stop of
-    serving owner 0 at t=40, whose ring successor wins a {e shard-local}
-    canvass and takes over.  Notes record per-shard availability inside
-    each fault window (["partition_shard<i>"], ["crash_shard<i>"]) and
+    serving owner 0 at t=40 (later if node 0's client is still in phase
+    2: the client crashes its own node between operations), whose ring
+    successor wins a {e shard-local} canvass and takes over.  Notes
+    record per-shard availability inside each fault window
+    (["partition_shard<i>"], ["crash_shard<i>"]) and
     ["fault_isolated"] — shards 1 and 2 must stay at 100% through both
     shard-0 faults.  Node 8's explicit subscribe into shard 0 during
     phase 3 exercises the SUB_REQ/SUB_REPLY catch-up transfer

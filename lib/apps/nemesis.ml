@@ -12,6 +12,8 @@ type fault =
 type step = { at : float; fault : fault }
 
 type t = {
+  engine : Engine.t;
+  cluster : Causal.t;
   mutable cuts : int;
   mutable heals : int;
   mutable crashes : int;
@@ -29,7 +31,8 @@ let describe = function
   | Crash n -> Printf.sprintf "crash %d" n
   | Restart n -> Printf.sprintf "restart %d" n
 
-let apply t c now fault =
+let inject t fault =
+  let c = t.cluster in
   (match fault with
   | Cut { a; b } ->
       Causal.partition c a b;
@@ -46,13 +49,11 @@ let apply t c now fault =
   | Crash n -> ( match Causal.crash_result c n with Ok () -> t.crashes <- t.crashes + 1 | Error _ -> ())
   | Restart n -> (
       match Causal.restart_result c n with Ok () -> t.restarts <- t.restarts + 1 | Error _ -> ()));
-  t.log <- (now, describe fault) :: t.log
+  t.log <- (Engine.now t.engine, describe fault) :: t.log
 
-let schedule engine c steps =
-  let t = { cuts = 0; heals = 0; crashes = 0; restarts = 0; log = [] } in
-  List.iter
-    (fun { at; fault } -> Engine.schedule_at engine at (fun () -> apply t c (Engine.now engine) fault))
-    steps;
+let schedule engine cluster steps =
+  let t = { engine; cluster; cuts = 0; heals = 0; crashes = 0; restarts = 0; log = [] } in
+  List.iter (fun { at; fault } -> Engine.schedule_at engine at (fun () -> inject t fault)) steps;
   t
 
 let cuts t = t.cuts

@@ -2,9 +2,16 @@
 
     A plan is a list of {!step}s — at simulated time [at], inject [fault].
     {!schedule} registers every step on the engine up front and returns a
-    counter record the scenario reads after the run; faults then fire
-    between client operations as the simulation reaches their timestamps,
-    exactly like Jepsen's nemesis process interleaving with the workload.
+    counter record the scenario reads after the run; faults then fire as
+    the simulation reaches their timestamps, like Jepsen's nemesis process
+    interleaving with the workload — and, like it, whatever the clients
+    are doing.  A timed [Crash] can land while the node's own client has
+    an operation in flight, and the history recorder cannot represent an
+    operation whose outcome is unknown: the owner may have certified a
+    write whose client then failed, and a later read of it is rejected as
+    reading from a write missing from the history.  A scenario whose
+    crashed node runs a client lets that client crash its node between
+    operations with {!inject}.
 
     Partition faults drive the cluster's link-state controls
     ({!Dsm_causal.Cluster.partition} and friends), so healing a cut also
@@ -30,6 +37,9 @@ type t
 
 val schedule : Dsm_sim.Engine.t -> Dsm_causal.Cluster.t -> step list -> t
 (** Register every step with the engine; returns the live counters. *)
+
+val inject : t -> fault -> unit
+(** Apply [fault] now, counted and logged like a scheduled step. *)
 
 val cuts : t -> int
 val heals : t -> int

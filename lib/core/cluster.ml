@@ -680,11 +680,17 @@ let check_up h =
    attempt).  With an RPC policy configured, a lost round trip times out and
    is retried with a fresh request tag (the old tag, if its reply ever shows
    up, is discarded as stale); when the attempts are exhausted the operation
-   surfaces [Timed_out] instead of blocking forever. *)
+   surfaces [Timed_out] instead of blocking forever.  A node that crashed
+   while the operation was waiting sends nothing more: the operation ends
+   in [Timed_out] instead of retrying or following a redirect. *)
 let rendezvous h ~op ~loc ~kind ~size ~route make_msg =
   let t = h.cluster in
   let me = Node.id h.node in
   let max_redirects = 2 * processes t in
+  let give_up ~dst ~attempts =
+    raise (Timed_out { op; loc; requester = me; owner_node = dst; attempts })
+  in
+  let crashed () = Protocol.is_crashed t.core me in
   let issue ~dst =
     let req = Node.next_req h.node in
     let ivar = Proc.ivar t.sched in
@@ -694,9 +700,10 @@ let rendezvous h ~op ~loc ~kind ~size ~route make_msg =
     (req, ivar)
   in
   (* [true] to redirect (view was updated), [false] to accept the reply. *)
-  let stale_redirect reply =
+  let stale_redirect ~dst ~attempts reply =
     match (reply : Message.t) with
     | Message.Stale_epoch { base; epoch; serving; _ } ->
+        if crashed () then give_up ~dst ~attempts;
         t.redirects <- t.redirects + 1;
         dispatch t (Protocol.Learn_view { node = me; base; epoch; serving });
         true
@@ -708,9 +715,8 @@ let rendezvous h ~op ~loc ~kind ~size ~route make_msg =
         let dst = route () in
         let _req, ivar = issue ~dst in
         let reply = Proc.await ivar in
-        if stale_redirect reply then
-          if redirects >= max_redirects then
-            raise (Timed_out { op; loc; requester = me; owner_node = dst; attempts = redirects + 1 })
+        if stale_redirect ~dst ~attempts:(redirects + 1) reply then
+          if redirects >= max_redirects then give_up ~dst ~attempts:(redirects + 1)
           else go (redirects + 1)
         else reply
       in
@@ -721,18 +727,15 @@ let rendezvous h ~op ~loc ~kind ~size ~route make_msg =
         let req, ivar = issue ~dst in
         match Proc.await_timeout ivar ~timeout with
         | Some reply ->
-            if stale_redirect reply then
-              if redirects >= max_redirects then
-                raise (Timed_out { op; loc; requester = me; owner_node = dst; attempts = n + 1 })
+            if stale_redirect ~dst ~attempts:(n + 1) reply then
+              if redirects >= max_redirects then give_up ~dst ~attempts:(n + 1)
               else attempt ~redirects:(redirects + 1) n
             else reply
         | None ->
             Hashtbl.remove t.pending.(me) req;
             t.rpc_timeouts <- t.rpc_timeouts + 1;
-            if n < retries then attempt ~redirects (n + 1)
-            else
-              raise
-                (Timed_out { op; loc; requester = me; owner_node = dst; attempts = n + 1 })
+            if n < retries && not (crashed ()) then attempt ~redirects (n + 1)
+            else give_up ~dst ~attempts:(n + 1)
       in
       attempt ~redirects:0 0
 

@@ -13,8 +13,8 @@ type t = {
   is_suspected : bool array;
   (* Scoped monitoring (partial replication): only watched peers are ever
      suspected.  Everyone is watched by default; sharding narrows the mask
-     to the node's share-set peers — silence from a node it never
-     exchanges traffic with is not evidence of anything. *)
+     to the rings of the shards the node subscribes to — silence from any
+     other node drives no decision here. *)
   watched : bool array;
   mutable suspect_events : int;
   mutable unsuspect_events : int;

@@ -33,9 +33,9 @@ val create : config -> nodes:int -> me:int -> now:float -> t
 val set_watched : t -> peer:int -> bool -> unit
 (** Scope monitoring (partial replication): only watched peers are ever
     suspected by {!tick}.  Everyone is watched after {!create}; sharding
-    narrows the mask to the node's share-set peers — silence from a node
-    this one never exchanges traffic with is not evidence of anything.
-    The protocol also heartbeats exactly the watched peers.
+    narrows the mask to the ring members of the shards the node
+    subscribes to — silence from any other node drives no decision here.
+    The protocol heartbeats a node exactly from the peers that watch it.
     Unwatching a currently suspected peer clears the suspicion (without
     counting an unsuspect event). *)
 

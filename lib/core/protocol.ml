@@ -70,54 +70,45 @@ type state = {
 
 (* {1 Failure-detector watch masks}
 
-   Under sharding node [a]'s detector watches [b] iff the two share some
-   shard — exactly [Shard.peers], which is symmetric — and the mask is
-   also [a]'s heartbeat fan-out set.  [create] narrows the masks once;
-   afterwards each share-set join or leave updates only the pairs it can
-   change, so a subscription costs share-set width, not cluster width
-   squared.  A pair is only ever unwatched via [Detector.set_watched],
-   which clears any suspicion, so an unwatched peer is never suspected. *)
+   Under sharding the relation is directed: node [a] watches exactly the
+   ring members of the shards it subscribes to (its own ring included),
+   and beats exactly its own shard's share-set — the nodes that watch
+   it.  Ring members thus still hear each other (takeover, canvasses,
+   check-quorum, the lease) and a subscriber still suspects a dead owner
+   of a shard it reads (degraded shadow reads), while nobody beacons at a
+   node whose detector ignores it.  Rings are disjoint, so a join or
+   leave of one shard flips one ring's bits at the joiner and nothing
+   else can still justify them.  A peer is only ever unwatched via
+   [Detector.set_watched], which clears any suspicion, so an unwatched
+   peer is never suspected. *)
 
 let init_watch_masks dets s =
   Array.iteri
     (fun me det ->
+      let own = Shard.of_base s me in
       for p = 0 to Array.length dets - 1 do
-        if p <> me then Detector.set_watched det ~peer:p false
-      done;
-      List.iter (fun p -> Detector.set_watched det ~peer:p true) (Shard.peers s ~node:me))
+        if Shard.of_base s p <> own then Detector.set_watched det ~peer:p false
+      done)
     dets
 
-let set_pair dets a b watched =
-  Detector.set_watched dets.(a) ~peer:b watched;
-  Detector.set_watched dets.(b) ~peer:a watched
+(* After [node] joined or left [shard], it watches the shard's ring iff it
+   still subscribes (a ring member's own ring never leaves). *)
+let watch_ring t s ~shard ~node =
+  match t.detectors with
+  | Some dets ->
+      let on = Shard.subscribed s ~shard ~node in
+      List.iter
+        (fun p -> if p <> node then Detector.set_watched dets.(node) ~peer:p on)
+        (Shard.ring s shard)
+  | None -> ()
 
-(* [node] joins [shard]: it now shares a shard with every member of the
-   share-set, whatever else they share. *)
 let join t s ~shard ~node =
   Shard.subscribe s ~shard ~node;
-  match t.detectors with
-  | Some dets ->
-      List.iter (fun y -> if y <> node then set_pair dets node y true) (Shard.subscribers s shard)
-  | None -> ()
+  watch_ring t s ~shard ~node
 
-(* [node] left [shard]: only its pairs with the remaining share-set can
-   have changed, and each stays watched iff the two still share a shard. *)
 let leave t s ~shard ~node =
   Shard.unsubscribe s ~shard ~node;
-  match t.detectors with
-  | Some dets ->
-      let share a b =
-        let rec from k =
-          k < Shard.count s
-          && ((Shard.subscribed s ~shard:k ~node:a && Shard.subscribed s ~shard:k ~node:b)
-             || from (k + 1))
-        in
-        from 0
-      in
-      List.iter
-        (fun y -> if y <> node then set_pair dets node y (share node y))
-        (Shard.subscribers s shard)
-  | None -> ()
+  watch_ring t s ~shard ~node
 
 let create ~owner ~config ?detector ?sharding ~now () =
   let processes = Owner.nodes owner in
@@ -359,15 +350,6 @@ let ring_targets t ~me ~base =
   match t.sharding with
   | None -> List.filter (fun d -> d <> me) (List.init (Array.length t.nodes) Fun.id)
   | Some s -> List.filter (fun d -> d <> me) (Shard.ring s (Shard.of_base s base))
-
-(* The watch mask is the heartbeat fan-out set: every other node without
-   sharding, [Shard.peers] with it. *)
-let hb_targets t ~me det =
-  let acc = ref [] in
-  for p = Array.length t.nodes - 1 downto 0 do
-    if p <> me && Detector.watched det ~peer:p then acc := p :: !acc
-  done;
-  !acc
 
 (* Reachability for the owner-side lease check, scoped to the electorate
    that matters: under sharding an owner's quorum is over its own ring. *)
@@ -917,9 +899,9 @@ let step t event =
       match t.detectors with
       | Some dets when not t.crashed.(me) ->
           let view = Node.view t.nodes.(me) in
-          (* Heartbeats go to share-set peers only: liveness evidence about
-             nodes this one shares no location with drives no decision here,
-             so beaconing at them is pure overhead. *)
+          (* Heartbeats go to the nodes that watch this one: every other
+             node without sharding, its own shard's share-set with it.  A
+             node whose detector ignores this one would drop them unread. *)
           List.iter
             (fun dst ->
               act acc
@@ -931,7 +913,7 @@ let step t event =
                      size = 1 + List.length view;
                      msg = Message.Heartbeat { view };
                    }))
-            (hb_targets t ~me dets.(me));
+            (subscriber_targets t ~me ~base:me);
           let newly = Detector.tick dets.(me) ~now in
           List.iter
             (fun peer ->

@@ -163,10 +163,12 @@ val subscriptions : state -> (int * int list) list
 val suspected : state -> me:int -> peer:int -> bool
 
 val watched : state -> me:int -> peer:int -> bool
-(** Whether [me]'s failure detector watches [peer] — and so heartbeats
-    it.  Under sharding this holds iff [peer] is in
-    [Dsm_memory.Shard.peers] of [me]; without sharding every peer is
-    watched.  [false] without failover. *)
+(** Whether [me]'s failure detector watches [peer] — and so whether
+    [peer] heartbeats [me].  Under sharding the relation is directed:
+    [me] watches [peer <> me] iff [peer] is a ring member of some shard
+    [me] subscribes to, and [peer] beats exactly its own shard's
+    share-set.  Without sharding every peer is watched.  [false] without
+    failover. *)
 
 val backup_of : state -> serving:int -> int option
 (** The designated backup of whatever [serving] certifies: its ring

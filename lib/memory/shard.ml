@@ -2,7 +2,8 @@
    shards, each with its own owner ring, and every location belongs to
    exactly one shard.  A shard's share-set — its ring members plus every
    runtime subscriber — is the set of nodes that replicate its locations;
-   protocol broadcasts, failure detection and quorum all scope to it.
+   protocol broadcasts scope to it, failure detection and quorum to the
+   ring.
 
    The registry is deliberately a single shared value (like the [Owner]
    map): the static ring layout is configuration, and the mutable
@@ -110,20 +111,6 @@ let subscribers t shard =
 let membership t shard = Membership.of_list (subscribers t shard)
 
 let width t shard = Hashtbl.length t.subscribers.(shard)
-
-(* The nodes one node exchanges protocol traffic with: the union of the
-   share-sets it belongs to.  Symmetric by construction — [a] is a peer of
-   [b] iff both subscribe to some common shard — so heartbeat scoping keeps
-   the failure detectors consistent in both directions. *)
-let peers t ~node =
-  check_node t node;
-  let acc = Hashtbl.create 16 in
-  Array.iter
-    (fun subs ->
-      if Hashtbl.mem subs node then
-        Hashtbl.iter (fun peer () -> if peer <> node then Hashtbl.replace acc peer ()) subs)
-    t.subscribers;
-  Hashtbl.fold (fun peer () l -> peer :: l) acc [] |> List.sort compare
 
 let subscriptions t = List.init t.count (fun shard -> (shard, subscribers t shard))
 

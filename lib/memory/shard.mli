@@ -5,10 +5,10 @@
     {e share-set} is the set of nodes replicating its locations: the ring
     members (permanent) plus any runtime subscribers.  The protocol routes
     invalidation metadata, shadow replication, takeover broadcasts and
-    FRONTIER reconciliation only to the share-set, scopes failure
-    detection to it, and computes takeover quorum as a majority of the
-    {e ring} (not of the cluster) — see PROTOCOL.md, "Partial replication
-    & sharding".
+    FRONTIER reconciliation only to the share-set, has a node watch only
+    the rings of the shards it subscribes to, and computes takeover
+    quorum as a majority of the {e ring} (not of the cluster) — see
+    PROTOCOL.md, "Partial replication & sharding".
 
     The value is shared by every node of a simulation, like the {!Owner}
     map: the ring layout is static configuration, and the mutable
@@ -67,11 +67,6 @@ val membership : t -> int -> Membership.t
 
 val width : t -> int -> int
 (** [Membership.width (membership t shard)], without the allocation. *)
-
-val peers : t -> node:int -> int list
-(** The nodes one node exchanges protocol traffic with: the union of the
-    share-sets of every shard it subscribes to, itself excluded,
-    ascending.  Symmetric: [a] lists [b] iff [b] lists [a]. *)
 
 val subscriptions : t -> (int * int list) list
 (** Every shard's share-set, [(shard, subscribers)] ascending — the

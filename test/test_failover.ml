@@ -175,6 +175,47 @@ let test_read_degrades_to_shadow_while_owner_suspected () =
   Alcotest.(check bool) "and saw the acknowledged write" true (!got = Some (Value.Int 7));
   Alcotest.(check bool) "history stays causal" true (Check.is_correct (Cluster.history c))
 
+let test_sharded_read_degrades_to_shadow () =
+  (* The same under sharding, for a cross-shard reader: rings {0,1,2} and
+     {3,4,5}.  Node 3's first read of a shard-0 location subscribes it,
+     so it now watches ring 0; when it stops hearing owner 0 it suspects
+     it and is served backup 1's shadow.  Ring members, which still hear
+     node 0, never promote. *)
+  let e = Engine.create () in
+  let s = Proc.scheduler e in
+  let layout = Dsm_memory.Shard.make ~nodes:6 ~shards:2 in
+  let c =
+    Cluster.create ~sched:s ~owner:(Dsm_memory.Shard.owner layout) ~sharding:layout
+      ~detector:fast_detector ~latency:(Latency.Constant 1.0) ()
+  in
+  Alcotest.(check int) "v0 is served by node 0" 0
+    (Owner.owner (Dsm_memory.Shard.owner layout) (v 0));
+  let first = ref None and got = ref None in
+  ignore
+    (Proc.spawn s ~name:"owner" (fun () ->
+         Cluster.write (Cluster.handle c 0) (v 0) (Value.Int 7)));
+  ignore
+    (Proc.spawn s ~name:"reader" (fun () ->
+         let h = Cluster.handle c 3 in
+         Proc.sleep 2.0;
+         first := Some (Cluster.read h (v 0));
+         Cluster.set_link_down c ~src:0 ~dst:3 true;
+         (* Drop the cached copy so the next read misses, then wait out
+            node 3's silence limit for node 0. *)
+         Cluster.discard h;
+         Proc.sleep 25.0;
+         got := Some (Cluster.read h (v 0))));
+  Engine.run e;
+  Proc.check s;
+  Alcotest.(check bool) "first read from the owner" true (!first = Some (Value.Int 7));
+  Alcotest.(check (list int)) "node 3 suspects node 0" [ 0 ] (Cluster.suspected_by c 3);
+  Alcotest.(check (list int)) "ring members suspect nobody" []
+    (Cluster.suspected_by c 1 @ Cluster.suspected_by c 2);
+  Alcotest.(check int) "nobody promoted" 0 (Cluster.takeovers c);
+  Alcotest.(check int) "read served from the shadow" 1 (Cluster.shadow_reads c);
+  Alcotest.(check bool) "and saw the acknowledged write" true (!got = Some (Value.Int 7));
+  Alcotest.(check bool) "history stays causal" true (Check.is_correct (Cluster.history c))
+
 (* {1 Durability: WAL replay, checkpoints, sync faults} *)
 
 let test_restart_replays_through_checkpoint () =
@@ -327,6 +368,8 @@ let suite =
     Alcotest.test_case "stale owner fenced" `Quick test_stale_owner_is_fenced_and_client_redirected;
     Alcotest.test_case "read degrades to shadow" `Quick
       test_read_degrades_to_shadow_while_owner_suspected;
+    Alcotest.test_case "sharded read degrades to shadow" `Quick
+      test_sharded_read_degrades_to_shadow;
     Alcotest.test_case "restart replays checkpoint" `Quick test_restart_replays_through_checkpoint;
     Alcotest.test_case "promotion survives restart" `Quick test_promotion_survives_backup_restart;
     Alcotest.test_case "wal sync fault tolerated" `Quick test_wal_sync_fault_is_tolerated;

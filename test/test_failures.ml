@@ -269,12 +269,12 @@ let test_duplicate_write_certification_is_idempotent () =
 (* ------------------------------------------------------------------ *)
 
 (* A 3-node layout where node 2 owns nothing, so it may crash/restart. *)
-let cacheonly_setup () =
+let cacheonly_setup ?rpc () =
   let e = Engine.create () in
   let s = Proc.scheduler e in
   let inner = Owner.by_index ~nodes:2 in
   let owner = Owner.make ~nodes:3 (fun loc -> Owner.owner inner loc) in
-  let c = Cluster.create ~sched:s ~owner ~latency:(Latency.Constant 1.0) () in
+  let c = Cluster.create ~sched:s ~owner ~latency:(Latency.Constant 1.0) ?rpc () in
   (e, s, c)
 
 let test_crash_discards_cache_and_clock () =
@@ -311,6 +311,35 @@ let test_crashed_node_drops_messages_and_ops_fail () =
          Cluster.write (Cluster.handle c 0) (v 0) (Value.Int 3)));
   Engine.run e;
   Alcotest.(check int) "no deliveries at crashed node" 0 (Cluster.dropped_at_crashed c)
+
+let test_crashed_node_stops_retrying () =
+  (* Node 2 crashes while its WRITE waits for a reply that the down link
+     from owner 0 will never carry.  A crash-stop node sends nothing more:
+     at the first timeout the write ends in Timed_out instead of retrying
+     from the dead node. *)
+  let e, s, c = cacheonly_setup ~rpc:{ Cluster.timeout = 10.0; retries = 3 } () in
+  Cluster.set_link_down c ~src:0 ~dst:2 true;
+  let sent_after_crash = ref [] in
+  Network.set_tracer (Cluster.net c)
+    (Some
+       (fun ~time ~src ~dst:_ ~kind _ ->
+         if src = 2 && Cluster.is_crashed c 2 then
+           sent_after_crash := (time, kind) :: !sent_after_crash));
+  Engine.schedule_at e 3.0 (fun () -> Cluster.crash c 2);
+  let result = ref None in
+  ignore
+    (Proc.spawn s ~name:"writer" (fun () ->
+         let r = Cluster.write_result (Cluster.handle c 2) (v 0) (Value.Int 4) in
+         result := Some (r, Engine.now e)));
+  Engine.run e;
+  Alcotest.(check (list (pair (float 0.0) string))) "no frame after the crash" [] !sent_after_crash;
+  (match !result with
+  | Some (Error info, at) ->
+      Alcotest.(check int) "one attempt" 1 info.Cluster.attempts;
+      Alcotest.(check (float 0.0)) "ended at the first timeout" 10.0 at
+  | Some (Ok _, _) -> Alcotest.fail "the write cannot succeed"
+  | None -> Alcotest.fail "writer never finished");
+  Alcotest.(check int) "one timeout" 1 (Cluster.rpc_timeouts c)
 
 let test_restart_continues_causally_correct () =
   let e, s, c = cacheonly_setup () in
@@ -406,6 +435,7 @@ let suite =
     Alcotest.test_case "crash discards cache+clock" `Quick test_crash_discards_cache_and_clock;
     Alcotest.test_case "crashed node unavailable" `Quick
       test_crashed_node_drops_messages_and_ops_fail;
+    Alcotest.test_case "crashed node stops retrying" `Quick test_crashed_node_stops_retrying;
     Alcotest.test_case "causal across restart" `Quick test_restart_continues_causally_correct;
     Alcotest.test_case "owner restart replays wal" `Quick test_owner_restart_replays_wal;
     Alcotest.test_case "crash validation" `Quick test_crash_validation;

@@ -46,14 +46,6 @@ let test_subscribe_unsubscribe () =
   Shard.unsubscribe s ~shard:0 ~node:1;
   Alcotest.(check bool) "ring member cannot leave" true (Shard.subscribed s ~shard:0 ~node:1)
 
-let test_peers_symmetric () =
-  let s = Shard.make ~nodes:6 ~shards:2 in
-  Shard.subscribe s ~shard:0 ~node:5;
-  (* 5 now exchanges traffic with shard 0's ring and its own ring. *)
-  Alcotest.(check (list int)) "subscriber's peers" [ 0; 1; 2; 3; 4 ] (Shard.peers s ~node:5);
-  Alcotest.(check (list int)) "ring member sees subscriber" [ 1; 2; 5 ] (Shard.peers s ~node:0);
-  Alcotest.(check (list int)) "other shard untouched" [ 3; 5 ] (Shard.peers s ~node:4)
-
 let test_membership_matches_subscribers () =
   let s = Shard.make ~nodes:6 ~shards:3 in
   Shard.subscribe s ~shard:1 ~node:0;
@@ -148,9 +140,11 @@ let test_share_set_gc () =
 
 (* The detectors' watch masks are updated incrementally on share-set joins
    and leaves; after any sequence of them they must still equal the
-   reference definition: [a] watches [b] iff [b] is in [Shard.peers a], and
-   a heartbeat tick at [a] beacons exactly [Shard.peers a], in that order. *)
-let test_watch_masks_track_peers () =
+   reference definition of the directed relation: [a] watches [b <> a]
+   iff [b] rings some shard [a] subscribes to, a heartbeat tick at [a]
+   beacons exactly its own shard's share-set minus [a], ascending, and so
+   [a] beats [b] iff [b] watches [a]. *)
+let test_watch_masks_track_rings () =
   let module P = Dsm_protocol.Protocol in
   let module Message = Dsm_protocol.Message in
   let module Prng = Dsm_util.Prng in
@@ -163,36 +157,49 @@ let test_watch_masks_track_peers () =
       ~sharding:s ~now:0.0 ()
   in
   let step ev = ignore (P.step t ev) in
+  let rings_of a =
+    List.concat_map (Shard.ring s)
+      (List.filter (fun k -> Shard.subscribed s ~shard:k ~node:a) (List.init shards Fun.id))
+  in
   let check what =
+    let hb =
+      Array.init nodes (fun a ->
+          let _, acts = P.step t (P.Hb_tick { node = a; now = 0.0 }) in
+          List.filter_map (function P.Send { dst; kind = "HB"; _ } -> Some dst | _ -> None) acts)
+    in
     for a = 0 to nodes - 1 do
-      let peers = Shard.peers s ~node:a in
+      let rings = rings_of a in
       for b = 0 to nodes - 1 do
-        if b <> a && P.watched t ~me:a ~peer:b <> List.mem b peers then
-          Alcotest.failf "%s: node %d watches %d is %b" what a b (P.watched t ~me:a ~peer:b)
+        if b <> a && P.watched t ~me:a ~peer:b <> List.mem b rings then
+          Alcotest.failf "%s: node %d watches %d is %b" what a b (P.watched t ~me:a ~peer:b);
+        if b <> a && List.mem b hb.(a) <> P.watched t ~me:b ~peer:a then
+          Alcotest.failf "%s: node %d beats %d is %b" what a b (List.mem b hb.(a))
       done;
-      let _, acts = P.step t (P.Hb_tick { node = a; now = 0.0 }) in
-      let hb =
-        List.filter_map (function P.Send { dst; kind = "HB"; _ } -> Some dst | _ -> None) acts
-      in
-      Alcotest.(check (list int)) (Printf.sprintf "%s: HB fan-out of %d" what a) peers hb
+      Alcotest.(check (list int))
+        (Printf.sprintf "%s: HB fan-out of %d" what a)
+        (List.filter (( <> ) a) (Shard.subscribers s (Shard.of_base s a)))
+        hb.(a)
     done
   in
   check "initial";
   (* Rings are {0,1,2} {3,4,5} {6,7,8} {9,10,11}.  Outsiders 6 and 9 both
-     join shards 0 and 1; when 9 leaves shard 0 the pair still shares
-     shard 1 and must stay watched, while 9's pairs with ring 0 go. *)
+     join shards 0 and 1: each now watches both rings, which beat it but
+     do not watch it, and the two co-subscribers ignore each other. *)
   List.iter
     (fun (node, shard) -> step (P.Subscribe { node; shard }))
     [ (6, 0); (6, 1); (9, 0); (9, 1) ];
+  Alcotest.(check bool) "subscriber watches the ring" true (P.watched t ~me:9 ~peer:0);
+  Alcotest.(check bool) "the ring does not watch it" false (P.watched t ~me:0 ~peer:9);
+  Alcotest.(check bool) "co-subscribers unwatched" false
+    (P.watched t ~me:9 ~peer:6 || P.watched t ~me:6 ~peer:9);
   check "joins";
   step (P.Unsubscribe { node = 9; shard = 0 });
-  Alcotest.(check bool) "pair kept by a second shard" true
-    (P.watched t ~me:9 ~peer:6 && P.watched t ~me:6 ~peer:9);
-  Alcotest.(check bool) "left ring 0" false (P.watched t ~me:9 ~peer:0 || P.watched t ~me:0 ~peer:9);
-  check "leave with a shard still shared";
+  Alcotest.(check bool) "left ring 0" false (P.watched t ~me:9 ~peer:0);
+  Alcotest.(check bool) "still watches ring 1" true (P.watched t ~me:9 ~peer:3);
+  check "leave one of two shards";
   step (P.Unsubscribe { node = 9; shard = 1 });
-  Alcotest.(check bool) "no shard shared" false (P.watched t ~me:9 ~peer:6);
-  check "leave the last shared shard";
+  Alcotest.(check bool) "back to its own ring" false (P.watched t ~me:9 ~peer:3);
+  check "leave the last shard";
   (* Random joins and leaves through every path that changes a share-set:
      explicit Subscribe/Unsubscribe, SUB_REQ deliveries and reads served
      to outsiders (subscribe-on-access). *)
@@ -233,11 +240,10 @@ let suite =
     Alcotest.test_case "full = one ring" `Quick test_full_is_one_ring;
     Alcotest.test_case "ring successor" `Quick test_ring_successor;
     Alcotest.test_case "subscribe/unsubscribe" `Quick test_subscribe_unsubscribe;
-    Alcotest.test_case "peers symmetric" `Quick test_peers_symmetric;
     Alcotest.test_case "membership matches subscribers" `Quick test_membership_matches_subscribers;
     Alcotest.test_case "induced owner consistent" `Quick test_induced_owner_consistent;
     Alcotest.test_case "subscriptions canonical" `Quick test_subscriptions_canonical;
     Alcotest.test_case "share-set GC collects idle subscribers" `Quick test_share_set_gc;
-    Alcotest.test_case "watch masks track peers" `Quick test_watch_masks_track_peers;
+    Alcotest.test_case "watch masks track rings" `Quick test_watch_masks_track_rings;
     Alcotest.test_case "make validates" `Quick test_make_validates;
   ]
