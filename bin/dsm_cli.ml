@@ -245,6 +245,13 @@ let workload_cmd =
 (* chaos                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [--mutation], shared by chaos and mc: every [Config.mutation] by its
+   CLI name, listed in the manual by [doc] (given the alternatives). *)
+let mutation_arg doc =
+  let alts = ("none", Dsm_causal.Config.No_mutation) :: Dsm_causal.Config.mutations in
+  Arg.(value & opt (enum alts) Dsm_causal.Config.No_mutation
+       & info [ "mutation" ] ~docv:"MUTATION" ~doc:(doc (Arg.doc_alts_enum alts)))
+
 let chaos_cmd =
   let module Chaos = Dsm_apps.Chaos in
   let scenario =
@@ -289,23 +296,11 @@ let chaos_cmd =
   in
   let mutation =
     (* Hidden fault injection: proves the checkers catch real protocol
-       bugs, not just synthetic histories.  Kept out of the manual's main
-       flag list on purpose. *)
-    let mconv =
-      Arg.conv
-        ( (fun s ->
-            match Dsm_causal.Config.mutation_of_string s with
-            | Some m -> Ok m
-            | None -> Error (`Msg (Printf.sprintf "unknown mutation %S" s))),
-          fun ppf m -> Format.pp_print_string ppf (Dsm_causal.Config.mutation_name m) )
-    in
-    Arg.(value & opt mconv Dsm_causal.Config.No_mutation
-         & info [ "mutation" ]
-             ~doc:"TEST ONLY: break one protocol rule (skip-invalidation, \
-                   skip-writestamp-merge, reorder-apply-ack, ignore-epoch-fence, \
-                   skip-shadow-replication, truncate-wal-early, \
-                   prune-share-set-wrongly, merge-drops-op), deliberately \
-                   compromising causal consistency or durability.")
+       bugs, not just synthetic histories. *)
+    mutation_arg
+      (Printf.sprintf
+         "TEST ONLY: break one protocol rule (%s), deliberately compromising causal \
+          consistency or durability.")
   in
   let batching =
     Arg.(value & flag
@@ -519,20 +514,10 @@ let mc_cmd =
          & info [ "max-states" ] ~doc:"Distinct states to explore before truncating (default 200000).")
   in
   let mutation =
-    let mconv =
-      Arg.conv
-        ( (fun s ->
-            match Dsm_causal.Config.mutation_of_string s with
-            | Some m -> Ok m
-            | None -> Error (`Msg (Printf.sprintf "unknown mutation %S" s))),
-          fun ppf m -> Format.pp_print_string ppf (Dsm_causal.Config.mutation_name m) )
-    in
-    Arg.(value & opt mconv Dsm_causal.Config.No_mutation
-         & info [ "mutation" ]
-             ~doc:"Break one protocol rule (skip-invalidation, skip-writestamp-merge, \
-                   reorder-apply-ack, ignore-epoch-fence, skip-shadow-replication, \
-                   truncate-wal-early, prune-share-set-wrongly, merge-drops-op); the \
-                   checker is then expected to find a counterexample.")
+    mutation_arg
+      (Printf.sprintf
+         "Break one protocol rule (%s); the checker is then expected to find a \
+          counterexample.")
   in
   let matrix =
     Arg.(value & flag

@@ -189,11 +189,11 @@ type stale_install_result = {
   si_stale_drops : int;
 }
 
-let stale_install_race () =
+let stale_install_race ?config () =
   let owner = Owner.make ~nodes:3 (fun loc -> if Loc.equal loc x then 1 else 2) in
   let engine = Engine.create () in
   let sched = Proc.scheduler engine in
-  let c = Causal.create ~sched ~owner ~latency:(Latency.Constant 1.0) () in
+  let c = Causal.create ~sched ~owner ?config ~latency:(Latency.Constant 1.0) () in
   (* P2 -> P1 is slow, so P1's read of y is still in flight when P1
      certifies P0's write of x. *)
   Dsm_net.Network.set_link_latency (Causal.net c) ~src:2 ~dst:1 (Latency.Constant 50.0);

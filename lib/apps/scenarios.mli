@@ -56,13 +56,15 @@ type stale_install_result = {
                              cache (>= 1 when the race fired) *)
 }
 
-val stale_install_race : unit -> stale_install_result
+val stale_install_race : ?config:Dsm_causal.Config.t -> unit -> stale_install_result
 (** Drive the protocol through the stale-install race the model checker
     found in Figure 4's literal pseudocode: node P1 (owner of [x]) has a
     read of [y] in flight while it certifies a write of [x] whose causal
     past contains newer writes of [y]; the late reply must not be retained.
     With the guard the recorded history is causally correct and
-    [si_stale_drops >= 1]; see DESIGN.md, "Findings". *)
+    [si_stale_drops >= 1]; see DESIGN.md, "Findings".  [config] (default
+    {!Dsm_causal.Config.default}) lets a test run it under the
+    [Figure4_literal] mutation, which drops the guard. *)
 
 type dictionary_race_result = {
   dr_delete_outcome : [ `Deleted | `Rejected | `Not_found ];

@@ -5,10 +5,8 @@ module Node = Dsm_protocol.Node
 module Node_stats = Dsm_protocol.Node_stats
 module Config = Dsm_protocol.Config
 module Stamped = Dsm_protocol.Stamped
-module Write_digest = Dsm_protocol.Write_digest
 module Detector = Dsm_protocol.Detector
 module Loc = Dsm_memory.Loc
-module Value = Dsm_memory.Value
 module History = Dsm_memory.History
 module Owner = Dsm_memory.Owner
 module Shard = Dsm_memory.Shard
@@ -59,14 +57,13 @@ type transport =
 (* The effect shell around {!Protocol}: this type holds only what the pure
    core must not know about — the scheduler and transport, the per-request
    reply ivars, the blocked-writer ivars, the write-ahead logs, the timers,
-   and the counters for shell-side events (timeouts, redirects, stale
-   replies).  All protocol decisions live in [core]; every mutation of it
-   goes through [dispatch]. *)
+   and the counters for shell-side events (timeouts, stale replies).  All
+   protocol decisions live in [core]; every mutation of it goes through
+   [dispatch] or [step]. *)
 type t = {
   sched : Proc.sched;
   transport : transport;
   core : Protocol.state;
-  owner : Owner.t;
   config : Config.t;
   rpc : rpc option;
   recorder : History.Recorder.t;
@@ -87,10 +84,6 @@ type t = {
   shard_access : (int * int, float) Hashtbl.t;
   hb_prngs : Prng.t array; (* per-node heartbeat jitter *)
   writer_waits : (int, unit Proc.ivar) Hashtbl.t array;
-  mutable writer_seq : int;
-  mutable last_local_write : Stamped.t option;
-  mutable shadow_reads : int;
-  mutable redirects : int;
   mutable wal_sync_failures : int;
   (* Recovery accounting: restarts, what they replayed, and the host time
      the replays cost (the bench's measurement). *)
@@ -114,31 +107,7 @@ let send_msg t ~src ~dst ~kind ~size msg =
   | Direct n -> Network.send n ~src ~dst ~kind ~size msg
   | Framed r -> Reliable.send r ~src ~dst ~kind ~size msg
 
-(* Mirrors Protocol's share-set-width wire accounting for the client-side
-   sends the shell prices itself (outbound WRITEs): under sharding a
-   location's writestamp costs its share-set's width on the wire, and a
-   digest is priced per location at that location's shard width. *)
-let entry_wire_size t ~loc (count : int) =
-  let dim =
-    match Protocol.sharding t.core with
-    | None -> Owner.nodes t.owner
-    | Some s -> Shard.width s (Shard.of_loc s loc)
-  in
-  count * t.config.Config.entry_size dim
-
-let digest_wire_size t digest =
-  match Protocol.sharding t.core with
-  | None -> Write_digest.wire_size digest ~dim:(Owner.nodes t.owner)
-  | Some s ->
-      List.fold_left (fun acc (l, _) -> acc + Shard.width s (Shard.of_loc s l) + 2) 0 digest
-
 let sim_now t = Dsm_sim.Engine.now (Proc.engine t.sched)
-
-let failover_on t = Protocol.failover_on t.core
-
-let suspected t ~me ~peer = Protocol.suspected t.core ~me ~peer
-
-let backup_of t ~serving = Protocol.backup_of t.core ~serving
 
 (* Feed the share-set GC: stamp the shard behind every client read/write so
    the idle timer can tell a quiet runtime subscription from a live one.
@@ -209,6 +178,13 @@ let rec interpret t action =
              restarted since issuing it.  Discarding is safe — the request
              tag is never reused. *)
           t.stale_replies <- t.stale_replies + 1)
+  | Protocol.Write_stamped { node = me; writer = Some writer; _ } ->
+      (* Registered now: a [Wake_writer] may follow in the same list. *)
+      Hashtbl.replace t.writer_waits.(me) writer (Proc.ivar t.sched)
+  | Protocol.Write_stamped { writer = None; _ }
+  | Protocol.Park _ | Protocol.Read_done _ | Protocol.Write_done _ | Protocol.Gave_up _ ->
+      (* Completions: the issuing process reads them off [step]. *)
+      ()
   | Protocol.Wake_writer { node = me; writer } -> (
       match Hashtbl.find_opt t.writer_waits.(me) writer with
       | Some ivar ->
@@ -219,13 +195,17 @@ let rec interpret t action =
   | Protocol.Arm_grace { node = me; seq } ->
       Dsm_sim.Engine.schedule (Proc.engine t.sched) ~delay:(shadow_grace t) (fun () ->
           dispatch t (Protocol.Grace_expired { node = me; seq }))
-  | Protocol.Local_write_done { node = _; entry } -> t.last_local_write <- Some entry
   | Protocol.Take_checkpoint { node = me; round = _ } -> checkpoint_now t me
   | Protocol.Emit body -> emit_body t body
 
-and dispatch t event =
+and dispatch t event = ignore (step t event)
+
+(* Feed one event and perform its actions; the list is returned so a
+   client process can find its operation's completion in it. *)
+and step t event =
   let _state, actions = Protocol.step t.core event in
-  dispatch_actions t actions
+  dispatch_actions t actions;
+  actions
 
 (* With batching enabled, maximal runs of consecutive [Send] actions on the
    same directed link (an [install_batch] page, a shadow-replication fan,
@@ -275,7 +255,7 @@ let start_discard_timer t node =
 
 let start_heartbeats t =
   match t.detector_config with
-  | Some cfg when failover_on t ->
+  | Some cfg when Protocol.failover_on t.core ->
       let engine = Proc.engine t.sched in
       let n = Protocol.processes t.core in
       for me = 0 to n - 1 do
@@ -390,7 +370,6 @@ let create ~sched ~owner ?(config = Config.default) ?latency ?fault ?reliability
       sched;
       transport;
       core;
-      owner;
       config;
       rpc;
       recorder = History.Recorder.create ~processes;
@@ -407,10 +386,6 @@ let create ~sched ~owner ?(config = Config.default) ?latency ?fault ?reliability
       shard_access = Hashtbl.create 16;
       hb_prngs = Array.init processes (fun _ -> Prng.split hb_master);
       writer_waits = Array.init processes (fun _ -> Hashtbl.create 4);
-      writer_seq = 0;
-      last_local_write = None;
-      shadow_reads = 0;
-      redirects = 0;
       wal_sync_failures = 0;
       recoveries = 0;
       replayed_records = 0;
@@ -519,8 +494,6 @@ let history t = History.Recorder.history t.recorder
 
 let timed_history t = List.rev t.timed
 
-let log_timed t op start_time = t.timed <- (op, start_time, sim_now t) :: t.timed
-
 let stats t = List.init (processes t) (fun pid -> Node.stats (node t pid))
 
 let total_stats t = Node_stats.total (stats t)
@@ -537,9 +510,9 @@ let takeovers t = Protocol.takeovers t.core
 
 let shadow_degraded t = Protocol.shadow_degraded t.core
 
-let shadow_reads t = t.shadow_reads
+let shadow_reads t = Protocol.shadow_reads t.core
 
-let redirects t = t.redirects
+let redirects t = Protocol.redirects t.core
 
 let wal_sync_failures t = t.wal_sync_failures
 
@@ -607,8 +580,8 @@ let cluster_stats t =
     stale_replies = t.stale_replies;
     rpc_timeouts = t.rpc_timeouts;
     dropped_at_crashed = Protocol.dropped_at_crashed t.core;
-    redirects = t.redirects;
-    shadow_reads = t.shadow_reads;
+    redirects = Protocol.redirects t.core;
+    shadow_reads = Protocol.shadow_reads t.core;
     shadow_degraded = Protocol.shadow_degraded t.core;
     takeovers = Protocol.takeovers t.core;
     suspects = Protocol.suspect_events t.core;
@@ -625,7 +598,8 @@ let cluster_stats t =
   }
 
 (* Crash-stop failures.  [crash] makes the node deaf (deliveries are
-   dropped) and forgets which replies it was waiting for; [restart] brings
+   dropped), forgets which replies it was waiting for and wakes its owner
+   writers parked on a shadow ack (their writes are logged); [restart] brings
    it back by resetting all volatile state and replaying the node's
    write-ahead log, which restores certified writes, view changes and
    shadow copies to the exact pre-crash durable frontier.  Cache-only nodes
@@ -635,7 +609,6 @@ let crash_result t pid =
   if Protocol.is_crashed t.core pid then Error (Already_crashed pid)
   else begin
     Hashtbl.reset t.pending.(pid);
-    Hashtbl.reset t.writer_waits.(pid);
     dispatch t (Protocol.Crash { node = pid });
     Ok ()
   end
@@ -667,234 +640,81 @@ let dropped_at_crashed t = Protocol.dropped_at_crashed t.core
 
 let pid h = Node.id h.node
 
-let check_up h =
+let is_completion = function
+  | Protocol.Park _ | Protocol.Read_done _ | Protocol.Write_done _ | Protocol.Gave_up _
+  | Protocol.Write_stamped { writer = Some _; _ } ->
+      true
+  | _ -> false
+
+(* Follow one operation of node [me]'s process to its last completion.
+   Each [Park] blocks the process on the reply to that request tag —
+   under the RPC timer when one is configured — and feeds the reply back,
+   or the timeout with the retry verdict; an owner write blocks until its
+   writer is woken; [Gave_up] surfaces as [Timed_out]. *)
+let rec follow t ~me ~op ~loc ~timeouts actions =
+  match List.find is_completion actions with
+  | Protocol.Park { req; _ } -> (
+      let ivar = Proc.ivar t.sched in
+      Hashtbl.replace t.pending.(me) req ivar;
+      let taken msg = step t (Protocol.Reply_taken { node = me; req; msg }) in
+      match t.rpc with
+      | None -> follow t ~me ~op ~loc ~timeouts (taken (Proc.await ivar))
+      | Some { timeout; retries } -> (
+          match Proc.await_timeout ivar ~timeout with
+          | Some msg -> follow t ~me ~op ~loc ~timeouts (taken msg)
+          | None ->
+              Hashtbl.remove t.pending.(me) req;
+              t.rpc_timeouts <- t.rpc_timeouts + 1;
+              follow t ~me ~op ~loc ~timeouts:(timeouts + 1)
+                (step t (Protocol.Rpc_timeout { node = me; req; retry = timeouts < retries }))))
+  | Protocol.Write_stamped { writer = Some writer; _ } as stamped ->
+      (* Absent once the core already woke the writer. *)
+      Option.iter Proc.await (Hashtbl.find_opt t.writer_waits.(me) writer);
+      stamped
+  | Protocol.Gave_up { dst; attempts; _ } ->
+      raise (Timed_out { op; loc; requester = me; owner_node = dst; attempts })
+  | completion -> completion
+
+(* Run one operation of [h]'s process through the core, from the
+   availability check to its timed history entry: [record] turns the last
+   completion into the result, the recorded operation and its trace
+   body. *)
+let run_op h ~op ~loc event record =
   let t = h.cluster in
   let me = Node.id h.node in
   if Protocol.is_crashed t.core me then
-    failwith (Printf.sprintf "node %d is crashed: operations are unavailable until restart" me)
-
-(* Round-trip a request and block until its reply arrives.  [route] picks
-   the destination afresh for every attempt, so retries follow ownership
-   handoffs; a [Stale_epoch] fencing reply teaches this node the newer view
-   and re-issues immediately (bounded, and without burning a timeout
-   attempt).  With an RPC policy configured, a lost round trip times out and
-   is retried with a fresh request tag (the old tag, if its reply ever shows
-   up, is discarded as stale); when the attempts are exhausted the operation
-   surfaces [Timed_out] instead of blocking forever.  A node that crashed
-   while the operation was waiting sends nothing more: the operation ends
-   in [Timed_out] instead of retrying or following a redirect. *)
-let rendezvous h ~op ~loc ~kind ~size ~route make_msg =
-  let t = h.cluster in
-  let me = Node.id h.node in
-  let max_redirects = 2 * processes t in
-  let give_up ~dst ~attempts =
-    raise (Timed_out { op; loc; requester = me; owner_node = dst; attempts })
-  in
-  let crashed () = Protocol.is_crashed t.core me in
-  let issue ~dst =
-    let req = Node.next_req h.node in
-    let ivar = Proc.ivar t.sched in
-    Hashtbl.replace t.pending.(me) req ivar;
-    let epoch = Node.epoch_of h.node ~base:(Node.base_owner_of h.node loc) in
-    send_msg t ~src:me ~dst ~kind ~size (make_msg ~req ~epoch);
-    (req, ivar)
-  in
-  (* [true] to redirect (view was updated), [false] to accept the reply. *)
-  let stale_redirect ~dst ~attempts reply =
-    match (reply : Message.t) with
-    | Message.Stale_epoch { base; epoch; serving; _ } ->
-        if crashed () then give_up ~dst ~attempts;
-        t.redirects <- t.redirects + 1;
-        dispatch t (Protocol.Learn_view { node = me; base; epoch; serving });
-        true
-    | _ -> false
-  in
-  match t.rpc with
-  | None ->
-      let rec go redirects =
-        let dst = route () in
-        let _req, ivar = issue ~dst in
-        let reply = Proc.await ivar in
-        if stale_redirect ~dst ~attempts:(redirects + 1) reply then
-          if redirects >= max_redirects then give_up ~dst ~attempts:(redirects + 1)
-          else go (redirects + 1)
-        else reply
-      in
-      go 0
-  | Some { timeout; retries } ->
-      let rec attempt ~redirects n =
-        let dst = route () in
-        let req, ivar = issue ~dst in
-        match Proc.await_timeout ivar ~timeout with
-        | Some reply ->
-            if stale_redirect ~dst ~attempts:(n + 1) reply then
-              if redirects >= max_redirects then give_up ~dst ~attempts:(n + 1)
-              else attempt ~redirects:(redirects + 1) n
-            else reply
-        | None ->
-            Hashtbl.remove t.pending.(me) req;
-            t.rpc_timeouts <- t.rpc_timeouts + 1;
-            if n < retries && not (crashed ()) then attempt ~redirects (n + 1)
-            else give_up ~dst ~attempts:(n + 1)
-      in
-      attempt ~redirects:0 0
+    failwith (Printf.sprintf "node %d is crashed: operations are unavailable until restart" me);
+  note_shard_access t ~node:me loc;
+  let start_time = sim_now t in
+  let result, recorded, body = record (follow t ~me ~op ~loc ~timeouts:0 (step t event)) in
+  t.timed <- (recorded, start_time, sim_now t) :: t.timed;
+  emit_body t body;
+  result
 
 let read_stamped h loc =
-  let t = h.cluster in
-  let node = h.node in
-  check_up h;
-  note_shard_access t ~node:(Node.id node) loc;
-  let stats = Node.stats node in
-  let start_time = sim_now t in
-  let record_read entry =
-    let op =
-      History.Recorder.record_read t.recorder ~pid:(Node.id node) ~loc
-        ~value:entry.Stamped.value ~from:entry.Stamped.wid
-    in
-    log_timed t op start_time;
-    emit_body t
-      (Trace.Op_read
-         { node = Node.id node; loc; value = entry.Stamped.value; from = entry.Stamped.wid });
-    entry
-  in
-  match Node.lookup node loc with
-  | Some entry ->
-      (* Served or cached: the read completes locally. *)
-      stats.Node_stats.read_hits <- stats.Node_stats.read_hits + 1;
-      record_read entry
-  | None -> (
-      (* Read miss: fetch a current copy from the owner and install it,
-         invalidating everything causally older (Figure 4, r_i(x)v). *)
-      stats.Node_stats.read_misses <- stats.Node_stats.read_misses + 1;
-      let me = Node.id node in
-      let dst = Node.owner_of node loc in
-      let fetch_from_owner () =
-        (* Snapshot the clock: if it grows while we are blocked (this node
-           certified writes meanwhile), the reply may be stale relative to
-           what we now know and must not be retained in the cache. *)
-        let vt_at_request = Node.vt node in
-        let reply =
-          rendezvous h ~op:`Read ~loc ~kind:"READ" ~size:t.config.Config.read_request_size
-            ~route:(fun () -> Node.owner_of node loc)
-            (fun ~req ~epoch -> Message.Read_req { req; loc; epoch })
-        in
-        match reply with
-        | Message.Read_reply { entry; page; digest; _ } ->
-            Node.digest_merge node digest;
-            if Vclock.equal vt_at_request (Node.vt node) then
-              Node.install_batch node ((loc, entry) :: page)
-            else Node.install_transient node ((loc, entry) :: page);
-            Node.enforce_capacity node;
-            record_read entry
-        | _ -> assert false
-      in
-      if failover_on t && dst <> me && suspected t ~me ~peer:dst then begin
-        (* Degraded read during failover: the owner is suspected, so serve
-           the backup's shadow copy — the last acknowledged write, a live
-           value under Definition 2 — instead of blocking on a dead node.
-           The entry is installed transiently: knowledge (clock, digest,
-           invalidation) is kept, the value itself is not cached. *)
-        let base = Node.base_owner_of node loc in
-        match backup_of t ~serving:dst with
-        | Some b when b = me ->
-            (* This node is the backup: its own shadow is the freshest
-               acknowledged copy available anywhere. *)
-            let entry =
-              match Node.shadow_lookup node ~base loc with
-              | Some e -> e
-              | None -> Stamped.initial ~processes:(processes t) (t.config.Config.init loc)
-            in
-            t.shadow_reads <- t.shadow_reads + 1;
-            Node.install_transient node [ (loc, entry) ];
-            record_read entry
-        | Some b -> (
-            let reply =
-              rendezvous h ~op:`Read ~loc ~kind:"SH_READ"
-                ~size:t.config.Config.read_request_size
-                ~route:(fun () -> b)
-                (fun ~req ~epoch:_ -> Message.Shadow_read_req { req; loc })
-            in
-            match reply with
-            | Message.Shadow_read_reply { entry; _ } ->
-                t.shadow_reads <- t.shadow_reads + 1;
-                Node.install_transient node [ (loc, entry) ];
-                record_read entry
-            | _ -> assert false)
-        | None -> fetch_from_owner ()
-      end
-      else fetch_from_owner ())
+  let me = Node.id h.node in
+  run_op h ~op:`Read ~loc (Protocol.Issue_read { node = me; loc }) (function
+    | Protocol.Read_done { entry; _ } ->
+        let { Stamped.value; wid; _ } = entry in
+        ( entry,
+          History.Recorder.record_read h.cluster.recorder ~pid:me ~loc ~value ~from:wid,
+          Trace.Op_read { node = me; loc; value; from = wid } )
+    | _ -> assert false)
 
 let read h loc = (read_stamped h loc).Stamped.value
 
 let write_resolved h loc value =
-  let t = h.cluster in
-  let node = h.node in
-  check_up h;
-  note_shard_access t ~node:(Node.id node) loc;
-  let stats = Node.stats node in
-  let start_time = sim_now t in
-  if Node.owns node loc then begin
-    let me = Node.id node in
-    (* A partition-degraded owner (quorum contact lost) refuses writes
-       locally for the same reason it silently drops remote [WRITE]s:
-       accepting one could diverge from a majority-side takeover.  Reads
-       stay available — they return acknowledged values, safe under
-       Definition 2. *)
-    if Protocol.partition_degraded t.core me then
-      raise (Timed_out { op = `Write; loc; requester = me; owner_node = me; attempts = 0 });
-    (* The owner-write path runs through the core (certify, log, shadow);
-       this process blocks on [ivar] until the designated backup has the
-       entry or the grace timer degrades.  When the core completes the
-       write during [dispatch] (failover off, no live backup), the ivar is
-       already filled and the writer never yields. *)
-    let writer = t.writer_seq in
-    t.writer_seq <- writer + 1;
-    let ivar = Proc.ivar t.sched in
-    Hashtbl.replace t.writer_waits.(me) writer ivar;
-    t.last_local_write <- None;
-    dispatch t (Protocol.Owner_write { node = me; loc; value; writer });
-    let entry =
-      match t.last_local_write with Some e -> e | None -> assert false
-    in
-    if not (Proc.is_filled ivar) then Proc.await ivar;
-    let op =
-      History.Recorder.record_write t.recorder ~pid:me ~loc ~value ~wid:entry.Stamped.wid
-    in
-    log_timed t op start_time;
-    emit_body t (Trace.Op_write { node = me; loc; value; wid = entry.Stamped.wid });
-    `Accepted
-  end
-  else begin
-    (* w_i(x)v, non-owner branch: increment, ship to the owner for
-       certification, then adopt the owner's clock and entry. *)
-    Node.set_vt node (Vclock.increment (Node.vt node) (Node.id node));
-    let wid = Node.fresh_wid node in
-    let entry = Stamped.make ~value ~stamp:(Node.vt node) ~wid in
-    let digest = Node.digest_export node in
-    let reply =
-      rendezvous h ~op:`Write ~loc ~kind:"WRITE"
-        ~size:(entry_wire_size t ~loc 1 + digest_wire_size t digest)
-        ~route:(fun () -> Node.owner_of node loc)
-        (fun ~req ~epoch -> Message.Write_req { req; loc; entry; digest; epoch })
-    in
-    match reply with
-    | Message.Write_reply { accepted; entry = stored; digest; _ } ->
-        (* Figure 4 performs no invalidation on the writer's reply path;
-           the digest is still merged so later introductions act on it. *)
-        Node.digest_merge node digest;
-        Node.adopt_write_reply node loc stored;
-        Node.enforce_capacity node;
-        stats.Node_stats.writes_remote <- stats.Node_stats.writes_remote + 1;
-        let op = History.Recorder.record_write t.recorder ~pid:(Node.id node) ~loc ~value ~wid in
-        log_timed t op start_time;
-        emit_body t (Trace.Op_write { node = Node.id node; loc; value; wid });
-        if accepted then `Accepted
-        else begin
-          stats.Node_stats.writes_rejected <- stats.Node_stats.writes_rejected + 1;
-          `Rejected
-        end
-    | _ -> assert false
-  end
+  let me = Node.id h.node in
+  run_op h ~op:`Write ~loc (Protocol.Issue_write { node = me; loc; value }) (fun completion ->
+      let wid, outcome =
+        match completion with
+        | Protocol.Write_stamped { entry; _ } -> (entry.Stamped.wid, `Accepted)
+        | Protocol.Write_done { wid; accepted; _ } -> (wid, if accepted then `Accepted else `Rejected)
+        | _ -> assert false
+      in
+      ( outcome,
+        History.Recorder.record_write h.cluster.recorder ~pid:me ~loc ~value ~wid,
+        Trace.Op_write { node = me; loc; value; wid } ))
 
 let write h loc value = ignore (write_resolved h loc value)
 

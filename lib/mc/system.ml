@@ -44,28 +44,15 @@ let pp_choice ppf = function
   | Degrade_tick -> Format.fprintf ppf "degrade-tick"
   | Heal_partition -> Format.fprintf ppf "heal-partition"
 
-(* What a process is blocked on, mirroring the rendezvous of the cluster
-   shell: a read or write request in flight (with the redirect budget the
-   shell keeps), or a local owner write awaiting its shadow
-   acknowledgement. *)
-type status =
-  | Idle
-  | Waiting_read of {
-      req : int;
-      loc : Loc.t;
-      vt_at_request : Vclock.t;  (** stale-install guard snapshot *)
-      redirects : int;
-    }
-  | Waiting_write of { req : int; loc : Loc.t; entry : Stamped.t; redirects : int }
-  | Waiting_writer of { token : int }
-
 type t = {
   scope : Gen.scope;
   config : Config.t;
   core : P.state;
   queues : (string * int * Message.t) Queue.t array array;  (** [queues.(src).(dst)] *)
   progs : Gen.op list array;  (** remaining program, next op first *)
-  status : status array;
+  busy : Gen.op option array;
+      (** the operation each process is blocked in; what it waits on is
+          the core's ({!P.parked}, or a parked owner writer) *)
   ops : Op.t list array;  (** recorded history per pid, newest first *)
   op_index : int array;
   wal : Dsm_protocol.Log_record.t list array;  (** newest first *)
@@ -91,9 +78,6 @@ type t = {
           [takeover_done]/[degrade_done], so it needs no fingerprint. *)
   mutable drops_left : int;
   mutable dups_left : int;
-  mutable next_writer : int;
-  mutable last_local : Stamped.t option;
-  mutable stale_replies : int;
   tracing : bool;
   mutable trace : Trace.event list;  (** newest first *)
   mutable trace_seq : int;
@@ -124,7 +108,7 @@ let init ?(tracing = false) (scope : Gen.scope) =
     core;
     queues = Array.init n (fun _ -> Array.init n (fun _ -> Queue.create ()));
     progs = Array.copy scope.programs;
-    status = Array.make n Idle;
+    busy = Array.make n None;
     ops = Array.make n [];
     op_index = Array.make n 0;
     wal = Array.make n [];
@@ -149,9 +133,6 @@ let init ?(tracing = false) (scope : Gen.scope) =
     mc_now = 0.0;
     drops_left = drops;
     dups_left = dups;
-    next_writer = 0;
-    last_local = None;
-    stale_replies = 0;
     tracing;
     trace = [];
     trace_seq = 0;
@@ -287,7 +268,7 @@ let check_read_stamp t pid loc (entry : Stamped.t) =
   Hashtbl.replace t.read_stamp key entry.stamp
 
 (* ------------------------------------------------------------------ *)
-(* Recording and the client paths (mirroring Cluster)                  *)
+(* Recording and the client operations                                 *)
 (* ------------------------------------------------------------------ *)
 
 let feed_online t op =
@@ -304,42 +285,17 @@ let record_read t pid loc (entry : Stamped.t) =
   emit_trace t (Trace.Op_read { node = pid; loc; value = entry.value; from = entry.wid });
   feed_online t op
 
-let record_write t pid loc value wid =
+let record_write t pid loc (entry : Stamped.t) =
   let index = t.op_index.(pid) in
   t.op_index.(pid) <- index + 1;
-  let op = Op.write ~pid ~index ~loc ~value ~wid in
+  let op = Op.write ~pid ~index ~loc ~value:entry.value ~wid:entry.wid in
   t.ops.(pid) <- op :: t.ops.(pid);
-  emit_trace t (Trace.Op_write { node = pid; loc; value; wid });
+  emit_trace t (Trace.Op_write { node = pid; loc; value = entry.value; wid = entry.wid });
   feed_online t op
 
 let post t ~src ~dst ~kind ~size msg =
   Queue.add (kind, size, msg) t.queues.(src).(dst);
   emit_trace t (Trace.Send { src; dst; kind; size })
-
-let send_read t pid loc ~vt_at_request ~redirects =
-  let nd = P.node t.core pid in
-  let req = Node.next_req nd in
-  let dst = Node.owner_of nd loc in
-  let epoch = Node.epoch_of nd ~base:(Node.base_owner_of nd loc) in
-  t.status.(pid) <- Waiting_read { req; loc; vt_at_request; redirects };
-  post t ~src:pid ~dst ~kind:"READ" ~size:t.config.Config.read_request_size
-    (Message.Read_req { req; loc; epoch })
-
-let send_write t pid loc entry ~redirects =
-  let nd = P.node t.core pid in
-  let req = Node.next_req nd in
-  let dst = Node.owner_of nd loc in
-  let epoch = Node.epoch_of nd ~base:(Node.base_owner_of nd loc) in
-  let digest = Node.digest_export nd in
-  t.status.(pid) <- Waiting_write { req; loc; entry; redirects };
-  post t ~src:pid ~dst ~kind:"WRITE" ~size:(t.config.Config.entry_size t.scope.nodes)
-    (Message.Write_req { req; loc; entry; digest; epoch })
-
-(* Too many fencing redirects: the shell would surface [Timed_out]; here the
-   process just abandons the rest of its program (still a valid prefix). *)
-let give_up t pid =
-  t.status.(pid) <- Idle;
-  t.progs.(pid) <- []
 
 let rec apply_event t ev =
   let _, acts = P.step t.core ev in
@@ -355,11 +311,29 @@ and perform t = function
             ~base:(Node.base_owner_of (P.node t.core src) loc)
       | _ -> ());
       post t ~src ~dst ~kind ~size msg
-  | P.Client_reply { node; req; msg } -> client_reply t node req msg
-  | P.Wake_writer { node; writer } -> (
-      match t.status.(node) with
-      | Waiting_writer { token } when token = writer -> t.status.(node) <- Idle
-      | _ -> t.stale_replies <- t.stale_replies + 1)
+  | P.Client_reply { node; req; msg } ->
+      (* The process takes its reply at once; one abandoned with its
+         crashed node takes nothing. *)
+      if t.busy.(node) <> None then apply_event t (P.Reply_taken { node; req; msg })
+  | P.Write_stamped { node; loc; entry; writer } ->
+      (* Every write is recorded at issue: an owner write is certified
+         before anything else runs, and an unacknowledged remote write is
+         causally maximal, so the recorded prefix stays a legal history
+         even if its reply never arrives. *)
+      if writer <> None then
+        check_dual_certification t ~node ~base:(Node.base_owner_of (P.node t.core node) loc);
+      record_write t node loc entry
+  | P.Read_done { node; loc; entry } ->
+      t.busy.(node) <- None;
+      record_read t node loc entry
+  | P.Write_done { node; _ } | P.Wake_writer { node; _ } -> t.busy.(node) <- None
+  | P.Gave_up { node; _ } ->
+      (* Refused, or out of redirects: the shell would surface [Timed_out];
+         here the process abandons the rest of its program (still a valid
+         prefix). *)
+      t.busy.(node) <- None;
+      t.progs.(node) <- []
+  | P.Park _ -> ()
   | P.Append { node; record } -> t.wal.(node) <- record :: t.wal.(node)
   | P.Take_checkpoint { node; round = _ } ->
       (* The modeled durable path of [Cluster.checkpoint_now]: snapshot the
@@ -382,89 +356,7 @@ and perform t = function
           let keep = max 0 (i + 1 - extra) in
           t.wal.(node) <- List.filteri (fun j _ -> j < keep) t.wal.(node))
   | P.Arm_grace _ -> ()  (* grace expiry is outside the explored scope *)
-  | P.Local_write_done { entry; _ } -> t.last_local <- Some entry
   | P.Emit body -> emit_trace t body
-
-and client_reply t node req msg =
-  match t.status.(node) with
-  | Waiting_read r when r.req = req -> (
-      match msg with
-      | Message.Read_reply { entry; page; digest; _ } ->
-          let nd = P.node t.core node in
-          Node.digest_merge nd digest;
-          (* Stale-install guard: retain the reply only if this node's clock
-             did not grow while the request was in flight. *)
-          if Vclock.equal r.vt_at_request (Node.vt nd) then
-            Node.install_batch nd ((r.loc, entry) :: page)
-          else Node.install_transient nd ((r.loc, entry) :: page);
-          Node.enforce_capacity nd;
-          t.status.(node) <- Idle;
-          record_read t node r.loc entry
-      | Message.Stale_epoch { base; epoch; serving; _ } ->
-          t.status.(node) <- Idle;
-          apply_event t (P.Learn_view { node; base; epoch; serving });
-          if r.redirects >= 2 * t.scope.nodes then give_up t node
-          else
-            send_read t node r.loc ~vt_at_request:r.vt_at_request
-              ~redirects:(r.redirects + 1)
-      | _ -> t.stale_replies <- t.stale_replies + 1)
-  | Waiting_write w when w.req = req -> (
-      match msg with
-      | Message.Write_reply { entry = stored; digest; _ } ->
-          let nd = P.node t.core node in
-          Node.digest_merge nd digest;
-          Node.adopt_write_reply nd w.loc stored;
-          Node.enforce_capacity nd;
-          t.status.(node) <- Idle
-      | Message.Stale_epoch { base; epoch; serving; _ } ->
-          t.status.(node) <- Idle;
-          apply_event t (P.Learn_view { node; base; epoch; serving });
-          if w.redirects >= 2 * t.scope.nodes then give_up t node
-          else send_write t node w.loc w.entry ~redirects:(w.redirects + 1)
-      | _ -> t.stale_replies <- t.stale_replies + 1)
-  | Idle | Waiting_read _ | Waiting_write _ | Waiting_writer _ ->
-      t.stale_replies <- t.stale_replies + 1
-
-let do_read t pid loc =
-  let nd = P.node t.core pid in
-  match Node.lookup nd loc with
-  | Some entry -> record_read t pid loc entry
-  | None -> send_read t pid loc ~vt_at_request:(Node.vt nd) ~redirects:0
-
-let do_write t pid loc value =
-  let nd = P.node t.core pid in
-  if Node.owns nd loc then begin
-    if P.partition_degraded t.core pid then
-      (* The shell refuses local writes on a partition-degraded owner
-         before dispatching (it raises [Timed_out]); here the refused op
-         is simply dropped — the recorded prefix stays a legal history. *)
-      ()
-    else begin
-      (* Owner write: runs through the core, which certifies, logs and
-         shadows; the process stays blocked until [Wake_writer].  The write
-         is recorded at issue — it is certified before anything else runs. *)
-      let token = t.next_writer in
-      t.next_writer <- token + 1;
-      t.status.(pid) <- Waiting_writer { token };
-      t.last_local <- None;
-      apply_event t (P.Owner_write { node = pid; loc; value; writer = token });
-      check_dual_certification t ~node:pid ~base:(Node.base_owner_of nd loc);
-      match t.last_local with
-      | Some entry -> record_write t pid loc value entry.Stamped.wid
-      | None -> assert false
-    end
-  end
-  else begin
-    (* Remote write: increment, ship for certification, adopt on reply.
-       Recording at issue keeps the reads-from source available to the
-       checkers even if the acknowledgement never arrives; an unacked write
-       is causally maximal, so the recorded prefix stays a legal history. *)
-    Node.set_vt nd (Vclock.increment (Node.vt nd) pid);
-    let wid = Node.fresh_wid nd in
-    let entry = Stamped.make ~value ~stamp:(Node.vt nd) ~wid in
-    record_write t pid loc value wid;
-    send_write t pid loc entry ~redirects:0
-  end
 
 (* An object query: synchronously fold the payloads this process has
    probed on [obj]'s op-log cells (its latest read per cell, skipping
@@ -557,7 +449,7 @@ let enabled t =
     let issues =
       List.init n Fun.id
       |> List.filter (fun pid ->
-             t.status.(pid) = Idle && t.progs.(pid) <> [] && not (P.is_crashed t.core pid))
+             t.busy.(pid) = None && t.progs.(pid) <> [] && not (P.is_crashed t.core pid))
       |> List.map (fun pid -> Issue pid)
     in
     let busy =
@@ -656,8 +548,12 @@ let apply t c =
       | op :: rest -> (
           t.progs.(pid) <- rest;
           match op with
-          | Gen.Read loc -> do_read t pid loc
-          | Gen.Write (loc, value) -> do_write t pid loc value
+          | Gen.Read loc ->
+              t.busy.(pid) <- Some op;
+              apply_event t (P.Issue_read { node = pid; loc })
+          | Gen.Write (loc, value) ->
+              t.busy.(pid) <- Some op;
+              apply_event t (P.Issue_write { node = pid; loc; value })
           | Gen.Query obj -> do_query t pid obj))
   | Deliver { src; dst } ->
       let kind, _, msg = Queue.pop t.queues.(src).(dst) in
@@ -678,7 +574,7 @@ let apply t c =
       (* The victim's program dies with it: the explored scope restarts the
          node but not its client process. *)
       t.progs.(v) <- [];
-      t.status.(v) <- Idle;
+      t.busy.(v) <- None;
       apply_event t (P.Crash { node = v })
   | Takeover_tick -> (
       t.takeover_done <- true;
@@ -712,20 +608,20 @@ let apply t c =
   | Power_failure ->
       (* Every node loses volatile state at once and all in-flight traffic
          dies with the power.  Client processes are external to the outage:
-         a parked read is retried once power returns (its request frame was
-         lost), while a parked remote write is conservatively abandoned —
-         its certification fate is unknowable, so re-issuing could record a
-         duplicate.  An owner write is already logged and recorded, so that
-         process simply resumes. *)
+         an owner write is already logged and recorded, so the crash wakes
+         its process; a parked read is retried once power returns (its
+         request frame was lost), while a parked remote write is
+         conservatively abandoned — its certification fate is unknowable,
+         so re-issuing could record a duplicate. *)
       t.outage_done <- true;
       for i = 0 to t.scope.nodes - 1 do
         Array.iter Queue.clear t.queues.(i);
-        (match t.status.(i) with
-        | Waiting_read r -> t.progs.(i) <- Gen.Read r.loc :: t.progs.(i)
-        | Waiting_write _ -> t.progs.(i) <- []
-        | Idle | Waiting_writer _ -> ());
-        t.status.(i) <- Idle;
-        apply_event t (P.Crash { node = i })
+        apply_event t (P.Crash { node = i });
+        (match t.busy.(i) with
+        | Some (Gen.Read loc) -> t.progs.(i) <- Gen.Read loc :: t.progs.(i)
+        | Some _ -> t.progs.(i) <- []
+        | None -> ());
+        t.busy.(i) <- None
       done
   | Recover_all ->
       (* Power returns: every node restarts from whatever its log retained
@@ -765,7 +661,7 @@ let history t = Array.map (fun l -> Array.of_list (List.rev l)) t.ops
 let op_count t = Array.fold_left (fun acc l -> acc + List.length l) 0 t.ops
 
 let completed t =
-  Array.for_all (fun p -> p = []) t.progs && Array.for_all (fun s -> s = Idle) t.status
+  Array.for_all (fun p -> p = []) t.progs && Array.for_all Option.is_none t.busy
 
 let posthoc_violation t =
   match Check.check (History.of_ops (history t)) with
@@ -824,7 +720,9 @@ let fingerprint t =
       t.wal.(i),
       t.ops.(i),
       t.progs.(i),
-      t.status.(i) )
+      (* What a blocked process waits on; a node's operation abandoned with
+         it can never complete, so it is not state. *)
+      (t.busy.(i), if t.busy.(i) = None then [] else P.parked t.core i) )
   in
   let data =
     ( Array.init n per_node,

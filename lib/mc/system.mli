@@ -3,11 +3,15 @@
 
     A {!t} bundles a {!Dsm_protocol.Protocol.state} with explicit message
     queues (one FIFO per directed node pair), the per-process client
-    programs of a {!Gen.scope}, and the bookkeeping the cluster shell
-    would keep (blocked requests, redirect budgets, write-ahead logs).
-    Everything nondeterministic is reified as a {!choice}; {!apply} makes
-    exactly one choice happen, deterministically.  The explorer owns the
-    search; this module owns the semantics.
+    programs of a {!Gen.scope}, and the write-ahead logs.  Client
+    operations are the core's own [Issue_read]/[Issue_write] — the client
+    half [Cluster] runs, guard, redirects and degraded shadow reads
+    included — and each reply is fed back as soon as it is handed over.
+    What stays here is this shell's own: the choice enumeration, recording
+    every write at issue, and abandoning a process's program when its
+    operation gives up.  Everything nondeterministic is reified as a
+    {!choice}; {!apply} makes exactly one choice happen, deterministically.
+    The explorer owns the search; this module owns the semantics.
 
     Scope bounds (deliberate, documented in docs/CHECKERS.md): per-pair
     FIFO links (the reliable transport's guarantee); at most one crash,

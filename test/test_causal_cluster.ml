@@ -29,6 +29,22 @@ let run_proc e s body =
   Engine.run e;
   Proc.check s
 
+(* The stale-install race on the cluster (the schedule the model checker's
+   [race] scope finds): the guard keeps the history causal by refusing to
+   cache the late reply; the [Figure4_literal] switch, the same one the
+   model checker flips, caches it and records a non-causal history. *)
+let test_figure4_literal_flips_cluster () =
+  let guarded = Dsm_apps.Scenarios.stale_install_race () in
+  Alcotest.(check (pair bool int)) "guarded: causal, one stale drop" (true, 1)
+    (guarded.si_causal_ok, guarded.si_stale_drops);
+  let literal =
+    Dsm_apps.Scenarios.stale_install_race
+      ~config:(Config.with_mutation Config.Figure4_literal Config.default)
+      ()
+  in
+  Alcotest.(check (pair bool int)) "figure4-literal: non-causal, nothing dropped" (false, 0)
+    (literal.si_causal_ok, literal.si_stale_drops)
+
 let test_local_read_initial () =
   let e, s, c = setup () in
   let got = ref Value.Free in
@@ -238,4 +254,5 @@ let suite =
     Alcotest.test_case "discard handle" `Quick test_discard_handle;
     Alcotest.test_case "concurrent writers" `Quick test_concurrent_writers_converge_at_owner;
     Alcotest.test_case "custom init" `Quick test_custom_init;
+    Alcotest.test_case "figure4-literal flips the cluster" `Quick test_figure4_literal_flips_cluster;
   ]

@@ -341,6 +341,34 @@ let test_crashed_node_stops_retrying () =
   | None -> Alcotest.fail "writer never finished");
   Alcotest.(check int) "one timeout" 1 (Cluster.rpc_timeouts c)
 
+let test_crashed_owner_writer_returns () =
+  (* Failover on: node 0's write of its own v.0 waits for backup 1's
+     SH_ACK, but the link 0->1 is down, so the writer is still parked when
+     node 0 crashes at t=1.  The write is certified and in the log, so the
+     crash wakes the writer: it returns at once instead of staying blocked
+     (and keeping the heartbeats going) forever. *)
+  let e = Engine.create () in
+  let s = Proc.scheduler e in
+  let c =
+    Cluster.create ~sched:s ~owner:(Owner.by_index ~nodes:3) ~latency:(Latency.Constant 1.0)
+      ~detector:{ Dsm_causal.Detector.period = 5.0; suspect_after = 3 }
+      ()
+  in
+  Cluster.set_link_down c ~src:0 ~dst:1 true;
+  Engine.schedule_at e 1.0 (fun () -> Cluster.crash c 0);
+  let result = ref None in
+  ignore
+    (Proc.spawn s ~name:"writer" (fun () ->
+         let r = Cluster.write_result (Cluster.handle c 0) (v 0) (Value.Int 1) in
+         result := Some (r, Engine.now e)));
+  Engine.run_until e 500.0;
+  (match !result with
+  | Some (Ok `Accepted, at) -> Alcotest.(check (float 0.0)) "returned at the crash" 1.0 at
+  | Some _ -> Alcotest.fail "the certified write must be accepted"
+  | None -> Alcotest.fail "the writer never returned");
+  Alcotest.(check (list string)) "nobody stuck" [] (Proc.unfinished s);
+  Alcotest.(check int) "the engine went quiet" 0 (Engine.pending e)
+
 let test_restart_continues_causally_correct () =
   let e, s, c = cacheonly_setup () in
   ignore
@@ -436,6 +464,7 @@ let suite =
     Alcotest.test_case "crashed node unavailable" `Quick
       test_crashed_node_drops_messages_and_ops_fail;
     Alcotest.test_case "crashed node stops retrying" `Quick test_crashed_node_stops_retrying;
+    Alcotest.test_case "crashed owner's writer returns" `Quick test_crashed_owner_writer_returns;
     Alcotest.test_case "causal across restart" `Quick test_restart_continues_causally_correct;
     Alcotest.test_case "owner restart replays wal" `Quick test_owner_restart_replays_wal;
     Alcotest.test_case "crash validation" `Quick test_crash_validation;
