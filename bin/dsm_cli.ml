@@ -280,7 +280,8 @@ let chaos_cmd =
     Arg.(value & opt (some float) None
          & info [ "hb-period" ]
              ~doc:"Heartbeat period; enables failure detection and owner failover on any \
-                   scenario (the owner-crash and failover scenarios default to 5.0).")
+                   scenario (owner-crash, failover, partition, split-brain and shard default \
+                   to 5.0).")
   in
   let suspect_after =
     Arg.(value & opt int 3

@@ -1,11 +1,4 @@
-module Engine = Dsm_sim.Engine
-module Proc = Dsm_runtime.Proc
-module Network = Dsm_net.Network
 module Reliable = Dsm_net.Reliable
-module Latency = Dsm_net.Latency
-module Causal = Dsm_causal.Cluster
-module Owner = Dsm_memory.Owner
-module Prng = Dsm_util.Prng
 module Stats = Dsm_util.Stats
 
 type mode_result = {
@@ -36,72 +29,15 @@ type result = {
   frame_reduction : float;
 }
 
-(* One chaos-mix run (same shape as [Chaos.mix], minus the history checker:
-   the chaos soaks own correctness, the bench owns numbers) returning the
-   raw material a mode aggregates: per-op latencies and the counters. *)
-type run_raw = {
-  r_ops : int;
-  r_sim_time : float;
-  r_latencies : float list;
-  r_logical : int;
-  r_physical : int;
-  r_retrans : int;
-  r_acks : int;
-  r_rpc_timeouts : int;
-  r_unfinished : int;
-}
-
-let run_once ~reliability ~seed =
-  let spec = Workload.default_spec in
-  let engine = Engine.create () in
-  let sched = Proc.scheduler engine in
-  let owner = Owner.by_index ~nodes:spec.Workload.processes in
-  let c =
-    Causal.create ~sched ~owner ~latency:Latency.lan
-      ~fault:(Network.fault ~drop:0.05 ~duplicate:0.01 ())
-      ~reliability
-      ~rpc:{ Causal.timeout = 100.0; retries = 5 }
-      ~seed ()
-  in
-  let master = Prng.create seed in
-  for pid = 0 to spec.Workload.processes - 1 do
-    let prng = Prng.split master in
-    let h = Causal.handle c pid in
-    ignore
-      (Proc.spawn sched
-         ~name:(Printf.sprintf "client%d" pid)
-         (Workload.client ~spec ~prng ~pid
-            ~read:(fun l -> Causal.read h l)
-            ~write:(fun l v -> Causal.write h l v)
-            ~refresh:(fun l -> Causal.Mem.refresh h l)))
-  done;
-  Engine.run engine;
-  Causal.shutdown c;
-  let timed = Causal.timed_history c in
-  let acks =
-    match Causal.reliable c with
-    | Some r -> (Reliable.counters r).Reliable.acks
-    | None -> 0
-  in
-  {
-    r_ops = List.length timed;
-    r_sim_time = Engine.now engine;
-    r_latencies = List.map (fun (_op, start, stop) -> stop -. start) timed;
-    r_logical = Causal.logical_messages c;
-    r_physical = Causal.physical_frames c;
-    r_retrans = Causal.retransmissions c;
-    r_acks = acks;
-    r_rpc_timeouts = Causal.rpc_timeouts c;
-    r_unfinished = List.length (Proc.unfinished_since sched);
-  }
-
+(* One mode: the chaos table's [mix] row over [seeds], with [config] as the
+   transport. *)
 let run_mode ~name ~config ~seeds =
-  let raws = List.map (fun seed -> run_once ~reliability:config ~seed) seeds in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 raws in
-  let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 raws in
-  let latencies = Array.of_list (List.concat_map (fun r -> r.r_latencies) raws) in
-  let ops = sum (fun r -> r.r_ops) in
-  let sim_time = sumf (fun r -> r.r_sim_time) in
+  let knobs = { Chaos.default_knobs with Chaos.reliability = config } in
+  let runs = List.map (fun seed -> Chaos.run ~knobs ~seed "mix") seeds in
+  let sum f = List.fold_left (fun acc (r : Chaos.report) -> acc + f r) 0 runs in
+  let latencies = Array.of_list (List.concat_map (fun r -> r.Chaos.latencies) runs) in
+  let ops = sum (fun r -> r.Chaos.ops) in
+  let sim_time = List.fold_left (fun acc r -> acc +. r.Chaos.sim_time) 0.0 runs in
   {
     name;
     config;
@@ -114,12 +50,12 @@ let run_mode ~name ~config ~seeds =
     lat_p99 = Stats.percentile latencies 99.0;
     lat_mean = Stats.mean_of latencies;
     lat_max = Stats.percentile latencies 100.0;
-    logical_messages = sum (fun r -> r.r_logical);
-    physical_frames = sum (fun r -> r.r_physical);
-    retransmissions = sum (fun r -> r.r_retrans);
-    explicit_acks = sum (fun r -> r.r_acks);
-    rpc_timeouts = sum (fun r -> r.r_rpc_timeouts);
-    unfinished = sum (fun r -> r.r_unfinished);
+    logical_messages = sum (fun r -> r.Chaos.logical_messages);
+    physical_frames = sum (fun r -> r.Chaos.messages);
+    retransmissions = sum (fun r -> r.Chaos.transport.Reliable.retransmissions);
+    explicit_acks = sum (fun r -> r.Chaos.transport.Reliable.acks);
+    rpc_timeouts = sum (fun r -> r.Chaos.rpc_timeouts);
+    unfinished = sum (fun r -> List.length r.Chaos.unfinished);
   }
 
 let default_seeds ~quick =

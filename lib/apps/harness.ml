@@ -37,13 +37,8 @@ let run_one sched engine name body =
   Engine.run engine;
   Proc.check sched
 
-(* Checking a huge recorded history is quadratic; skip it beyond this size
-   unless explicitly requested. *)
-let history_check_cutoff = 6_000
-
 let check_history history =
-  if Dsm_memory.History.op_count history > history_check_cutoff then true
-  else Dsm_checker.Causal_check.is_correct history
+  Dsm_memory.History.op_count history > 6_000 || Dsm_checker.Causal_check.is_correct history
 
 let problem_for ~seed ~n =
   Linalg.random_diagonally_dominant (Dsm_util.Prng.create seed) ~n

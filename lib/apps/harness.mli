@@ -7,6 +7,10 @@
     with different iteration counts (cold-start costs cancel), which is how
     the E-MSG table approximates the paper's per-iteration analysis. *)
 
+val check_history : Dsm_memory.History.t -> bool
+(** The causal checker's verdict on a recorded history.  Checking is
+    quadratic, so a history over 6,000 ops is assumed correct. *)
+
 type solver_result = {
   workers : int;
   iters : int;

@@ -51,9 +51,12 @@ let inject t fault =
       match Causal.restart_result c n with Ok () -> t.restarts <- t.restarts + 1 | Error _ -> ()));
   t.log <- (Engine.now t.engine, describe fault) :: t.log
 
+let add t steps =
+  List.iter (fun { at; fault } -> Engine.schedule_at t.engine at (fun () -> inject t fault)) steps
+
 let schedule engine cluster steps =
   let t = { engine; cluster; cuts = 0; heals = 0; crashes = 0; restarts = 0; log = [] } in
-  List.iter (fun { at; fault } -> Engine.schedule_at engine at (fun () -> inject t fault)) steps;
+  add t steps;
   t
 
 let cuts t = t.cuts

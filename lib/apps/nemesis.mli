@@ -5,13 +5,19 @@
     counter record the scenario reads after the run; faults then fire as
     the simulation reaches their timestamps, like Jepsen's nemesis process
     interleaving with the workload — and, like it, whatever the clients
-    are doing.  A timed [Crash] can land while the node's own client has
-    an operation in flight, and the history recorder cannot represent an
-    operation whose outcome is unknown: the owner may have certified a
-    write whose client then failed, and a later read of it is rejected as
-    reading from a write missing from the history.  A scenario whose
-    crashed node runs a client lets that client crash its node between
-    operations with {!inject}.
+    are doing.
+
+    That is only safe for faults that no client can be caught inside: cuts
+    and heals, and crashes of nodes that run no client.  A timed [Crash]
+    can land while the node's own client has an operation in flight, and
+    the history recorder cannot represent an operation whose outcome is
+    unknown: the owner may have certified a write whose client then
+    failed, and a later read of it is rejected as reading from a write
+    missing from the history.  So a crash of a node that runs a client
+    fires at that client's operation boundary: the client itself
+    registers it, with {!add} (a window inside its own coming sleep) or
+    {!inject} (now).  When every node goes down at once, the last client
+    to finish its phase registers the outage for everyone.
 
     Partition faults drive the cluster's link-state controls
     ({!Dsm_causal.Cluster.partition} and friends), so healing a cut also
@@ -37,6 +43,9 @@ type t
 
 val schedule : Dsm_sim.Engine.t -> Dsm_causal.Cluster.t -> step list -> t
 (** Register every step with the engine; returns the live counters. *)
+
+val add : t -> step list -> unit
+(** Register more steps with the engine, counted and logged by [t]. *)
 
 val inject : t -> fault -> unit
 (** Apply [fault] now, counted and logged like a scheduled step. *)

@@ -7,7 +7,7 @@
    every recorded query, and cross-process convergence of the final
    returns.
 
-   The cells reuse the chaos object scenarios with loss and duplication
+   The cells run the chaos table's object rows with loss and duplication
    zeroed, so a given [(seed, quick)] pair reproduces bit-identically and
    any message-cost regression in the probe/merge path shows up as a
    [messages_per_update] jump in BENCH_objects.json. *)
@@ -28,27 +28,22 @@ type cell = {
 
 type result = { quick : bool; seed : int64; cells : cell list }
 
-let note_bool notes key = List.assoc_opt key notes = Some "true"
+let note_bool (r : Chaos.report) key = List.assoc_opt key r.Chaos.notes = Some "true"
 
-let note_int notes key =
-  match List.assoc_opt key notes with
-  | Some s -> ( match int_of_string_opt s with Some n -> n | None -> 0)
-  | None -> 0
-
-let run_cell ~scenario ~make ~seed ~processes ~rounds =
+let run_cell ~scenario ~seed ~processes ~rounds =
   let knobs = { Chaos.default_knobs with Chaos.drop = 0.0; duplicate = 0.0 } in
-  let r = Chaos.object_scenario ~scenario ~make ~knobs ~seed ~processes ~rounds () in
+  let r = Chaos.run ~knobs ~seed ~clients:processes ~ops:rounds scenario in
   let updates = processes * rounds in
   {
     obj = scenario;
     processes;
     updates;
-    queries = note_int r.Chaos.notes "object_queries";
+    queries = Chaos.note_int r "object_queries";
     ops = r.Chaos.ops;
     logical_messages = r.Chaos.logical_messages;
     messages_per_update = float_of_int r.Chaos.logical_messages /. float_of_int updates;
-    object_ok = note_bool r.Chaos.notes "object_ok";
-    converged = note_bool r.Chaos.notes "views_converged";
+    object_ok = note_bool r "object_ok";
+    converged = note_bool r "views_converged";
     healthy = Chaos.healthy r;
     unfinished = List.length r.Chaos.unfinished;
   }
@@ -60,9 +55,8 @@ let run ?(quick = false) ?(seed = 1L) () =
     quick;
     seed;
     cells =
-      List.map
-        (fun (scenario, make) -> run_cell ~scenario ~make ~seed ~processes ~rounds)
-        Chaos.Objects.drivers;
+      List.filter (String.starts_with ~prefix:"obj-") Chaos.scenarios
+      |> List.map (fun scenario -> run_cell ~scenario ~seed ~processes ~rounds);
   }
 
 (* The acceptance gate: every instance's cell fully clean — spec-legal

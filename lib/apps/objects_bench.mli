@@ -24,7 +24,7 @@ type cell = {
 type result = { quick : bool; seed : int64; cells : cell list }
 
 val run : ?quick:bool -> ?seed:int64 -> unit -> result
-(** Run every instance in {!Chaos.Objects.drivers}: 3 processes and 3
+(** Run every [obj-*] row of {!Chaos.table}: 3 processes and 3
     update rounds each with [~quick:true] (the CI soak), 4 and 6
     otherwise.  Bit-identical per [(quick, seed)]. *)
 

@@ -21,29 +21,24 @@ type result = {
   split_brain : scenario_result;
 }
 
-let note_int (r : Chaos.report) name =
-  match List.assoc_opt name r.Chaos.notes with
-  | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
-  | None -> 0
-
 let run_scenario ~scenario ~seeds =
   let reports = List.map (fun seed -> Chaos.run ~seed scenario) seeds in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let ratio ok attempts =
     if attempts = 0 then Float.nan else float_of_int ok /. float_of_int attempts
   in
-  let maj_attempts = sum (fun r -> note_int r "window_majority_attempts") in
-  let maj_ok = sum (fun r -> note_int r "window_majority_ok") in
-  let min_attempts = sum (fun r -> note_int r "window_minority_attempts") in
-  let min_ok = sum (fun r -> note_int r "window_minority_ok") in
+  let maj_attempts = sum (fun r -> Chaos.note_int r "window_majority_attempts") in
+  let maj_ok = sum (fun r -> Chaos.note_int r "window_majority_ok") in
+  let min_attempts = sum (fun r -> Chaos.note_int r "window_minority_attempts") in
+  let min_ok = sum (fun r -> Chaos.note_int r "window_minority_ok") in
   {
     scenario;
     seeds = List.length seeds;
     healthy = List.length (List.filter Chaos.healthy reports);
     takeovers = sum (fun r -> r.Chaos.takeovers);
-    partition_heals = sum (fun r -> note_int r "partition_heals");
-    refused_writes = sum (fun r -> note_int r "refused_writes");
-    resyncs = sum (fun r -> note_int r "resyncs");
+    partition_heals = sum (fun r -> Chaos.note_int r "partition_heals");
+    refused_writes = sum (fun r -> Chaos.note_int r "refused_writes");
+    resyncs = sum (fun r -> Chaos.note_int r "resyncs");
     maj_attempts;
     maj_ok;
     min_attempts;

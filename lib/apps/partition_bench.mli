@@ -1,5 +1,5 @@
-(** Partition-availability benchmark: the {!Chaos.partition} and
-    {!Chaos.split_brain} scenarios run over a seed set, summarised as the
+(** Partition-availability benchmark: the [partition] and [split-brain]
+    rows of {!Chaos.table} run over a seed set, summarised as the
     numbers the quorum-fenced failover design promises — above all the
     fraction of operations the {e majority} side completed inside the
     partition window (its backup must take over and keep serving), next to
@@ -8,7 +8,7 @@
 
     The [dsm bench partition] subcommand wraps {!run} and writes
     {!to_json} to [BENCH_partition.json], the artifact the CI
-    partition-soak job uploads.  Everything is seed-deterministic. *)
+    partition-soak run uploads.  Everything is seed-deterministic. *)
 
 type scenario_result = {
   scenario : string;  (** ["partition"] or ["split-brain"] *)

@@ -115,10 +115,7 @@ let run_cell ~nodes ~shards ~seed ~ops_per_client ~partial =
     wire_bytes = bytes;
     messages_per_op = float_of_int logical /. float_of_int ops;
     bytes_per_op = float_of_int bytes /. float_of_int ops;
-    causal_ok =
-      (Dsm_memory.History.op_count history <= 6_000
-      && Dsm_checker.Causal_check.is_correct history)
-      || Dsm_memory.History.op_count history > 6_000;
+    causal_ok = Harness.check_history history;
     unfinished;
   }
 

@@ -357,9 +357,7 @@ let dict () =
           string_of_int !deleted;
           pass converged;
           string_of_int (Dsm_net.Network.lifetime_total (Cluster.net cluster));
-          yes_no
-            (History.op_count (Cluster.history cluster) > 6000
-            || Check.is_correct (Cluster.history cluster));
+          yes_no (Harness.check_history (Cluster.history cluster));
         ])
     [ 2; 4; 8 ];
   print_table t;

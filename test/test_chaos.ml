@@ -24,21 +24,21 @@ let assert_healthy name (r : Chaos.report) =
     r.Chaos.notes
 
 let test_mix_soak () =
-  let r = Chaos.mix ~knobs:(knobs ()) ~seed:2025L () in
+  let r = Chaos.run ~knobs:(knobs ()) ~seed:2025L "mix" in
   assert_healthy "mix" r;
   Alcotest.(check bool) "loss actually injected" true (r.Chaos.dropped > 0);
   Alcotest.(check bool) "transport worked for it" true
     (r.Chaos.transport.Reliable.retransmissions > 0)
 
 let test_dictionary_soak () =
-  let r = Chaos.dictionary ~knobs:(knobs ()) ~seed:5L ~processes:4 ~rounds:6 () in
+  let r = Chaos.run ~knobs:(knobs ()) ~seed:5L ~clients:4 ~ops:6 "dictionary" in
   assert_healthy "dictionary" r;
   Alcotest.(check (option string))
     "all views converged" (Some "true")
     (List.assoc_opt "views_converged" r.Chaos.notes)
 
 let test_solver_soak () =
-  let r = Chaos.solver ~knobs:(knobs ()) ~seed:3L ~n:6 ~iters:4 () in
+  let r = Chaos.run ~knobs:(knobs ()) ~seed:3L ~clients:6 ~ops:4 "solver" in
   assert_healthy "solver" r;
   Alcotest.(check (option string))
     "still bit-exact Jacobi" (Some "true")
@@ -46,13 +46,13 @@ let test_solver_soak () =
 
 let test_heavy_loss_mix () =
   (* 10% loss, 5% duplication — the top of the issue's range. *)
-  let r = Chaos.mix ~knobs:(knobs ~drop:0.10 ~duplicate:0.05 ()) ~seed:77L () in
+  let r = Chaos.run ~knobs:(knobs ~drop:0.10 ~duplicate:0.05 ()) ~seed:77L "mix" in
   assert_healthy "heavy mix" r;
   Alcotest.(check bool) "duplicates injected and suppressed" true
     (r.Chaos.transport.Reliable.dup_dropped > 0)
 
 let test_crash_restart_soak () =
-  let r = Chaos.crash_restart ~knobs:(knobs ()) ~seed:11L () in
+  let r = Chaos.run ~knobs:(knobs ()) ~seed:11L "crash-restart" in
   assert_healthy "crash-restart" r;
   Alcotest.(check int) "one crash injected" 1 r.Chaos.crashes
 
@@ -65,7 +65,7 @@ let test_crash_restart_online_windowed () =
   let knobs =
     { (knobs ()) with Chaos.online_check = true; online_window = Some 64 }
   in
-  let r = Chaos.crash_restart ~knobs ~seed:11L ~ops_per_client:60 () in
+  let r = Chaos.run ~knobs ~seed:11L ~ops:60 "crash-restart" in
   assert_healthy "crash-restart windowed" r;
   Alcotest.(check (option string)) "windowed online clean" None r.Chaos.online_violation;
   let note name = int_of_string (List.assoc name r.Chaos.notes) in
@@ -105,7 +105,7 @@ let test_histories_identical_across_runs () =
 let test_fault_free_chaos_is_quiet () =
   (* With zero drop/duplicate the reliable layer must be pure overhead:
      no retransmissions, no duplicates, nothing reordered. *)
-  let r = Chaos.mix ~knobs:(knobs ~drop:0.0 ~duplicate:0.0 ()) ~seed:1L () in
+  let r = Chaos.run ~knobs:(knobs ~drop:0.0 ~duplicate:0.0 ()) ~seed:1L "mix" in
   assert_healthy "quiet" r;
   Alcotest.(check int) "no retransmissions" 0 r.Chaos.transport.Reliable.retransmissions;
   Alcotest.(check int) "no duplicates" 0 r.Chaos.transport.Reliable.dup_dropped;
@@ -138,7 +138,7 @@ let test_online_catches_injected_bug () =
           mutation = Dsm_causal.Config.Skip_invalidation;
         }
       in
-      let r = Chaos.solver ~knobs ~seed () in
+      let r = Chaos.run ~knobs ~seed "solver" in
       Alcotest.(check bool)
         (Printf.sprintf "seed %Ld: online violation found" seed)
         true
@@ -163,7 +163,7 @@ let test_batching_soak () =
         let knobs =
           { (knobs ()) with Chaos.reliability; online_check = true }
         in
-        Chaos.mix ~knobs ~seed ()
+        Chaos.run ~knobs ~seed "mix"
       in
       let off = run Reliable.default_config in
       let on_ = run Reliable.batching_config in
@@ -194,7 +194,7 @@ let test_batching_off_reports_identical_wire () =
      batching code exists — pinned by comparing full report fields across
      two runs of the same seed (the determinism test covers run-to-run;
      this pins messages = logical with no batch frames at defaults). *)
-  let r = Chaos.mix ~knobs:(knobs ()) ~seed:2025L () in
+  let r = Chaos.run ~knobs:(knobs ()) ~seed:2025L "mix" in
   (* [messages] counts frames that actually went live: every logical
      payload's first transmit, every retransmission and explicit ack, plus
      injected duplicates, minus the frames the fault model swallowed at
@@ -210,7 +210,7 @@ let test_batching_off_reports_identical_wire () =
 let test_cluster_stats_consistent () =
   (* The unified stats record must agree with the bespoke accessor-based
      report fields it consolidates. *)
-  let r = Chaos.owner_crash ~knobs:(knobs ()) ~seed:42L () in
+  let r = Chaos.run ~knobs:(knobs ()) ~seed:42L "owner-crash" in
   let s = r.Chaos.stats in
   Alcotest.(check int) "wire_dropped" r.Chaos.dropped s.Dsm_causal.Node_stats.wire_dropped;
   Alcotest.(check int) "duplicated" r.Chaos.duplicated s.Dsm_causal.Node_stats.wire_duplicated;
@@ -230,7 +230,7 @@ let test_shard_seeds_healthy () =
      history when someone reads it. *)
   for seed = 1 to 20 do
     let knobs = { (knobs ()) with Chaos.online_check = true } in
-    let r = Chaos.shard ~knobs ~seed:(Int64.of_int seed) () in
+    let r = Chaos.run ~knobs ~seed:(Int64.of_int seed) "shard" in
     let name = Printf.sprintf "seed %d" seed in
     Alcotest.(check bool) (name ^ ": healthy") true (Chaos.healthy r);
     Alcotest.(check int) (name ^ ": one crash injected") 1 r.Chaos.crashes;
@@ -238,6 +238,66 @@ let test_shard_seeds_healthy () =
       (name ^ ": fault isolated") (Some "true")
       (List.assoc_opt "fault_isolated" r.Chaos.notes)
   done
+
+(* Every scenario of the table at ten seeds with the online checker on, one
+   line per run: scenario, seed, health, recorded ops, failed processes and
+   an MD5 of the whole report, so any byte change in any report moves its
+   row.  bench/chaos_matrix.golden pins the lines.  On a mismatch the
+   regenerated file is written to the test's working directory (under
+   _build) and the first differing row is named: a deliberate update is one
+   copy. *)
+let matrix_seeds = [ 1; 2; 3; 4; 5; 7; 8; 9; 11; 16 ]
+
+let matrix_line scenario seed =
+  let knobs = { Chaos.default_knobs with Chaos.online_check = true } in
+  let r = Chaos.run ~knobs ~seed:(Int64.of_int seed) scenario in
+  let failed =
+    List.length
+      (List.filter (fun (k, _) -> String.starts_with ~prefix:"failed:" k) r.Chaos.notes)
+  in
+  Printf.sprintf "%s %d %s ops=%d failed=%d %s" scenario seed
+    (if Chaos.healthy r then "OK" else "UNHEALTHY")
+    r.Chaos.ops failed
+    (Digest.to_hex (Digest.string (Format.asprintf "%a" Chaos.pp_report r)))
+
+let rec find_up dir rel =
+  let candidate = Filename.concat dir rel in
+  if Sys.file_exists candidate then Some candidate
+  else
+    let parent = Filename.dirname dir in
+    if parent = dir then None else find_up parent rel
+
+let test_chaos_matrix_pinned () =
+  let header = "# scenario seed health ops failed md5(pp_report) -- online check on" in
+  let lines =
+    header
+    :: List.concat_map
+         (fun s -> List.map (matrix_line s) matrix_seeds)
+         Chaos.scenarios
+  in
+  let golden =
+    match find_up (Sys.getcwd ()) (Filename.concat "bench" "chaos_matrix.golden") with
+    | None -> []
+    | Some path ->
+        In_channel.with_open_text path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (fun l -> l <> "")
+  in
+  if golden <> lines then begin
+    let out = Filename.concat (Sys.getcwd ()) "chaos_matrix.golden" in
+    Out_channel.with_open_text out (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    let rec first_diff = function
+      | g :: gs, l :: ls -> if g = l then first_diff (gs, ls) else (g, l)
+      | g :: _, [] -> (g, "(missing)")
+      | [], l :: _ -> ("(missing)", l)
+      | [], [] -> ("", "")
+    in
+    let want, got = first_diff (golden, lines) in
+    Alcotest.failf
+      "chaos matrix differs from bench/chaos_matrix.golden\n  golden: %s\n  run:    %s\nregenerated file: %s"
+      want got out
+  end
 
 let suite =
   [
@@ -260,4 +320,5 @@ let suite =
       test_batching_off_reports_identical_wire;
     Alcotest.test_case "cluster stats consistent" `Quick test_cluster_stats_consistent;
     Alcotest.test_case "shard seeds 1-20 healthy" `Quick test_shard_seeds_healthy;
+    Alcotest.test_case "chaos matrix pinned" `Quick test_chaos_matrix_pinned;
   ]

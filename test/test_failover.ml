@@ -316,8 +316,8 @@ let assert_failover_healthy name (r : Dsm_apps.Chaos.report) =
 
 let test_owner_crash_scenario () =
   let module Chaos = Dsm_apps.Chaos in
-  let r1 = Chaos.owner_crash ~seed:42L () in
-  let r2 = Chaos.owner_crash ~seed:42L () in
+  let r1 = Chaos.run ~seed:42L "owner-crash" in
+  let r2 = Chaos.run ~seed:42L "owner-crash" in
   assert_failover_healthy "owner-crash" r1;
   Alcotest.(check int) "same ops across same-seed runs" r1.Chaos.ops r2.Chaos.ops;
   Alcotest.(check int) "same messages" r1.Chaos.messages r2.Chaos.messages;
@@ -325,7 +325,7 @@ let test_owner_crash_scenario () =
 
 let test_failover_scenario_restores_victim () =
   let module Chaos = Dsm_apps.Chaos in
-  let r = Chaos.failover ~seed:42L () in
+  let r = Chaos.run ~seed:42L "failover" in
   assert_failover_healthy "failover" r;
   Alcotest.(check (option string))
     "restarted victim demoted by gossip" (Some "true")
@@ -341,8 +341,8 @@ let test_failover_soak_across_seeds () =
   List.iter
     (fun seed ->
       let name = Printf.sprintf "failover seed %Ld" seed in
-      let r1 = Chaos.failover ~seed ~clients:4 ~ops_per_client:12 () in
-      let r2 = Chaos.failover ~seed ~clients:4 ~ops_per_client:12 () in
+      let r1 = Chaos.run ~seed ~clients:4 ~ops:12 "failover" in
+      let r2 = Chaos.run ~seed ~clients:4 ~ops:12 "failover" in
       Alcotest.(check bool) (name ^ ": causally correct") true r1.Chaos.causal_ok;
       Alcotest.(check (list (pair string (float 0.0))))
         (name ^ ": nobody blocked") [] r1.Chaos.unfinished;

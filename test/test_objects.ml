@@ -99,10 +99,10 @@ let test_folds_total_on_garbage () =
    the final returns converged. *)
 let test_clients_healthy_under_chaos_multi_seed () =
   List.iter
-    (fun (scenario, make) ->
+    (fun scenario ->
       List.iter
         (fun seed ->
-          let r = Chaos.object_scenario ~scenario ~make ~seed ~processes:3 ~rounds:3 () in
+          let r = Chaos.run ~seed ~clients:3 ~ops:3 scenario in
           Alcotest.(check bool)
             (Printf.sprintf "%s seed %Ld healthy" scenario seed)
             true (Chaos.healthy r);
@@ -115,7 +115,7 @@ let test_clients_healthy_under_chaos_multi_seed () =
             (Some "true")
             (List.assoc_opt "views_converged" r.Chaos.notes))
         [ 3L; 11L ])
-    Chaos.Objects.drivers
+    (List.filter (String.starts_with ~prefix:"obj-") Chaos.scenarios)
 
 (* ------------------------------------------------------------------ *)
 (* Negative tests: a merge that drops an observed update must be flagged

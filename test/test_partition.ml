@@ -24,11 +24,6 @@ let setup ?detector ?(nodes = 3) () =
   in
   (e, s, c)
 
-let note_int (r : Chaos.report) name =
-  match List.assoc_opt name r.Chaos.notes with
-  | Some v -> ( match int_of_string_opt v with Some n -> n | None -> 0)
-  | None -> 0
-
 (* {1 The check-quorum voter rule} *)
 
 let test_false_suspicion_cannot_depose () =
@@ -75,9 +70,9 @@ let test_partition_scenario_report () =
     [ (0, 1, 1) ]
     r.Chaos.view;
   Alcotest.(check bool) "the deposed owner resumed after the heal" true
-    (note_int r "partition_heals" >= 1);
+    (Chaos.note_int r "partition_heals" >= 1);
   Alcotest.(check bool) "quorum needed at least two remote grants" true
-    (note_int r "votes_granted" >= 2);
+    (Chaos.note_int r "votes_granted" >= 2);
   Alcotest.(check bool) "the nemesis plan is recorded in the notes" true
     (List.mem_assoc "nemesis_0" r.Chaos.notes)
 
@@ -101,7 +96,7 @@ let test_scenario_soak () =
       List.iter
         (fun seed ->
           let r = Chaos.run ~seed scenario in
-          refused := !refused + note_int r "refused_writes";
+          refused := !refused + Chaos.note_int r "refused_writes";
           Alcotest.(check bool)
             (Printf.sprintf "%s seed %Ld healthy" scenario seed)
             true (Chaos.healthy r);
