@@ -125,7 +125,6 @@ let bench_flat_remote_write_cycle =
   let module F = Dsm_protocol.Flat in
   let st = F.create ~nodes:4 ~locs:8 ~owner:(Array.init 8 (fun l -> l mod 4)) () in
   let clock = F.clock_arena st in
-  let stamps = F.stamp_arena st in
   let i = ref 0 in
   Test.make ~name:"flat: remote write cycle (4 nodes)"
     (Staged.stage (fun () ->
@@ -138,7 +137,7 @@ let bench_flat_remote_write_cycle =
            ~stamp_off:(F.clock_off st w);
          F.adopt_write_reply st ~node:w ~loc:l ~value:(F.last_value st ~node:o)
            ~wid_node:(F.last_wid_node st ~node:o) ~wid_seq:(F.last_wid_seq st ~node:o)
-           ~stamp:stamps ~stamp_off:(F.entry_off st ~node:o ~loc:l)))
+           ~stamp:(F.stamp_arena st ~node:o) ~stamp_off:(F.entry_off st ~node:o ~loc:l)))
 
 let tests =
   [

@@ -400,8 +400,9 @@ let bench_cmd =
     Arg.(value & flag
          & info [ "micro-only" ]
              ~doc:"Core bench only: run just the flat-vs-step microbenchmark and its \
-                   >=5x / ALLOC=0 gate, skipping the sim and checker cells.  The \
-                   blocking CI allocation-gate step uses this.")
+                   >=5x / ALLOC=0 gate, plus the 256-node engine's heap ceiling, \
+                   skipping the sim and checker cells.  The blocking CI \
+                   allocation-gate step uses this.")
   in
   let write_json out ~default json =
     let out = Option.value out ~default in
@@ -460,10 +461,8 @@ let bench_cmd =
         if Objects_bench.healthy r then exit 0 else exit 1
     | `Core when micro_only ->
         let m = Core_bench.run_micro ~quick () in
-        Printf.printf "micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor words/op)\n"
-          m.Core_bench.step_ns m.Core_bench.flat_ns m.Core_bench.speedup
-          m.Core_bench.flat_minor_words_per_op;
-        Printf.printf "gate (>=5x, <=0.01 words/op): %s\n"
+        print_endline (Core_bench.micro_line m);
+        Printf.printf "gate (>=5x, <=0.01 minor and major words/op, engine heap <= 32 MB): %s\n"
           (if Core_bench.micro_healthy m then "PASS" else "FAIL");
         if Core_bench.micro_healthy m then exit 0 else exit 1
     | `Core ->

@@ -4,11 +4,13 @@
 
    - micro: the flattened owner-write service ({!Dsm_protocol.Flat}) against
      the boxed {!Dsm_protocol.Protocol.step} on the identical 2-node/1-loc
-     shape, hand-timed over a fixed iteration count, plus the minor-heap
-     words the flat loop allocates (the ALLOC=0 gate);
+     shape, hand-timed over a fixed iteration count, plus the minor- and
+     major-heap words the flat loop allocates (the ALLOC=0 gate) and the
+     live heap a fresh 256-node parallel engine holds (the heap ceiling);
    - sim: the conservative parallel engine ({!Dsm_sim.Par_engine}) driving a
      [nodes]-node, [target_ops]-op workload at 1/2/4 domains, with the
-     digest-equality determinism gate;
+     digest-equality determinism gate, each cell's set-up time and the live
+     heap after its run;
    - checked: the same workload with the windowed online checker consuming
      the op stream at the epoch barriers, against the unchecked run. *)
 
@@ -27,11 +29,15 @@ type micro = {
   flat_ns : float;
   speedup : float;  (** [step_ns /. flat_ns]; the tentpole claims >= 5 *)
   flat_minor_words_per_op : float;  (** the ALLOC=0 gate: ~0.0 *)
+  flat_major_words_per_op : float;  (** the ALLOC=0 gate: ~0.0 *)
+  engine_heap_mb : float;  (** held by a fresh 256-node engine; the ceiling is 32 *)
 }
 
 type sim_cell = {
   domains : int;
+  setup_s : float;
   wall_s : float;
+  live_heap_mb : float;
   ops : int;
   ops_per_s : float;
   epochs : int;
@@ -61,6 +67,30 @@ type result = {
 }
 
 let now_s () = Unix.gettimeofday ()
+
+(* Live heap after a full collection, in MiB: what the program still
+   holds. *)
+let live_heap_mb () =
+  Gc.full_major ();
+  float_of_int ((Gc.stat ()).Gc.live_words * (Sys.word_size / 8)) /. 1048576.0
+
+let sim_params ~nodes ~seed =
+  { (Par.default_params ~nodes) with seed; shards = 16; remote_pct = 30 }
+
+(* The heap a fresh engine at the benchmark's full size holds: Flat's
+   per-entry arrays plus one small stamp pool per node, about 6 MB.  The
+   ceiling catches a return to dense stamps: a window for every (node,
+   location) pair is 128 MiB at this size. *)
+let engine_heap_nodes = 256
+
+let engine_heap_ceiling_mb = 32.0
+
+let measure_engine_heap () =
+  let before = live_heap_mb () in
+  let eng = Par.create (sim_params ~nodes:engine_heap_nodes ~seed:1) in
+  let held = live_heap_mb () -. before in
+  ignore (Sys.opaque_identity eng);
+  held
 
 (* {1 Micro: flat vs Protocol.step owner write} *)
 
@@ -95,36 +125,42 @@ let measure_micro ~iters =
   for _ = 1 to warmup do
     flat_once ()
   done;
-  let w0 = Gc.minor_words () in
+  (* [Gc.counters] is exact for both heaps ([Gc.quick_stat] on OCaml 5
+     lags until the next collection) and boxes its own result; amortised
+     over the loop that noise is far below the 0.01 words/op gate. *)
+  let minor0, _, major0 = Gc.counters () in
   let t0 = now_s () in
   for _ = 1 to iters do
     flat_once ()
   done;
   let flat_ns = (now_s () -. t0) *. 1e9 /. float_of_int iters in
-  let w1 = Gc.minor_words () in
+  let minor1, _, major1 = Gc.counters () in
   {
     iters;
     step_ns;
     flat_ns;
     speedup = step_ns /. flat_ns;
-    (* [Gc.minor_words] itself boxes its float result; amortised over the
-       loop that noise is far below the 0.01 words/op gate. *)
-    flat_minor_words_per_op = (w1 -. w0) /. float_of_int iters;
+    flat_minor_words_per_op = (minor1 -. minor0) /. float_of_int iters;
+    flat_major_words_per_op = (major1 -. major0) /. float_of_int iters;
+    engine_heap_mb = measure_engine_heap ();
   }
 
 (* {1 Sim: the parallel engine at 1/2/4 domains} *)
 
-let sim_params ~nodes ~seed =
-  { (Par.default_params ~nodes) with seed; shards = 16; remote_pct = 30 }
-
 let measure_sim ~nodes ~seed ~target_ops ~domains =
+  let t0 = now_s () in
   let eng = Par.create (sim_params ~nodes ~seed) in
+  let setup_s = now_s () -. t0 in
   let t0 = now_s () in
   let stats = Par.run ~domains ~target_ops eng in
   let wall_s = now_s () -. t0 in
+  let live_heap_mb = live_heap_mb () in
+  ignore (Sys.opaque_identity eng);
   {
     domains;
+    setup_s;
     wall_s;
+    live_heap_mb;
     ops = stats.Par.completed;
     ops_per_s = float_of_int stats.Par.completed /. wall_s;
     epochs = stats.Par.epochs;
@@ -202,7 +238,11 @@ let run ?(quick = false) ?(seed = 1) () =
 let run_micro ?(quick = false) () =
   measure_micro ~iters:(if quick then 400_000 else 2_000_000)
 
-let micro_healthy m = m.speedup >= 5.0 && m.flat_minor_words_per_op <= 0.01
+let micro_healthy m =
+  m.speedup >= 5.0
+  && m.flat_minor_words_per_op <= 0.01
+  && m.flat_major_words_per_op <= 0.01
+  && m.engine_heap_mb <= engine_heap_ceiling_mb
 
 let healthy r =
   micro_healthy r.micro
@@ -211,6 +251,12 @@ let healthy r =
   && r.checked.ratio >= 0.5
   && r.checked.violations = 0
   && r.checked.pending = 0
+
+let micro_line m =
+  Printf.sprintf
+    "micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor, %.4f major words/op); %d-node engine holds %.1f MB"
+    m.step_ns m.flat_ns m.speedup m.flat_minor_words_per_op m.flat_major_words_per_op
+    engine_heap_nodes m.engine_heap_mb
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -230,14 +276,18 @@ let to_json r =
   field "    \"step_ns\": %s,\n" (json_float r.micro.step_ns);
   field "    \"flat_ns\": %s,\n" (json_float r.micro.flat_ns);
   field "    \"speedup\": %s,\n" (json_float r.micro.speedup);
-  field "    \"flat_minor_words_per_op\": %s\n" (json_float r.micro.flat_minor_words_per_op);
+  field "    \"flat_minor_words_per_op\": %s,\n" (json_float r.micro.flat_minor_words_per_op);
+  field "    \"flat_major_words_per_op\": %s,\n" (json_float r.micro.flat_major_words_per_op);
+  field "    \"engine_heap_mb\": %s\n" (json_float r.micro.engine_heap_mb);
   field "  },\n";
   field "  \"sim\": [\n";
   List.iteri
     (fun i c ->
       if i > 0 then field ",\n";
-      field "    { \"domains\": %d, \"wall_s\": %s, \"ops\": %d, \"ops_per_s\": %s, \"epochs\": %d, \"digest\": %d }"
-        c.domains (json_float c.wall_s) c.ops (json_float c.ops_per_s) c.epochs c.digest)
+      field
+        "    { \"domains\": %d, \"setup_s\": %s, \"wall_s\": %s, \"live_heap_mb\": %s, \"ops\": %d, \"ops_per_s\": %s, \"epochs\": %d, \"digest\": %d }"
+        c.domains (json_float c.setup_s) (json_float c.wall_s) (json_float c.live_heap_mb) c.ops
+        (json_float c.ops_per_s) c.epochs c.digest)
     r.sim;
   field "\n  ],\n";
   field "  \"digests_agree\": %b,\n" r.digests_agree;
@@ -258,17 +308,19 @@ let to_json r =
 let pp ppf r =
   Format.fprintf ppf "core bench: %d nodes, %d ops%s@." r.nodes r.target_ops
     (if r.quick then " (quick)" else "");
-  Format.fprintf ppf "  micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor words/op)@."
-    r.micro.step_ns r.micro.flat_ns r.micro.speedup r.micro.flat_minor_words_per_op;
+  Format.fprintf ppf "  %s@." (micro_line r.micro);
   List.iter
     (fun c ->
-      Format.fprintf ppf "  sim %d domain%s: %.2f s, %.0f ops/s, %d epochs, digest %x@."
-        c.domains (if c.domains = 1 then " " else "s") c.wall_s c.ops_per_s c.epochs c.digest)
+      Format.fprintf ppf
+        "  sim %d domain%s: %.2f s, %.0f ops/s, %d epochs, digest %x, set-up %.4f s, live heap %.1f MB@."
+        c.domains (if c.domains = 1 then " " else "s") c.wall_s c.ops_per_s c.epochs c.digest
+        c.setup_s c.live_heap_mb)
     r.sim;
   Format.fprintf ppf "  digests agree across domain counts: %b@." r.digests_agree;
   Format.fprintf ppf
     "  checked (window %d): %.0f ops/s vs %.0f unchecked — ratio %.2f, %d violations, %d pending@."
     r.checked.window r.checked.checked_ops_per_s r.checked.unchecked_ops_per_s r.checked.ratio
     r.checked.violations r.checked.pending;
-  Format.fprintf ppf "  gate (>=5x micro, 0 allocs, digests agree, ratio >= 0.5): %s@."
+  Format.fprintf ppf
+    "  gate (>=5x micro, 0 allocs, engine heap <= 32 MB, digests agree, ratio >= 0.5): %s@."
     (if healthy r then "PASS" else "FAIL")

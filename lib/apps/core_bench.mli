@@ -6,8 +6,9 @@
     [BENCH_core.json], the artifact the CI core-bench job uploads.  The
     acceptance gates of the flattening tentpole live in {!healthy}:
     flat owner-write at least 5x faster than the boxed [Protocol.step]
-    with ~0 minor-heap words per op, bit-identical digests across domain
-    counts, and online-checked throughput at least half of unchecked. *)
+    with ~0 minor- and major-heap words per op, at most 32 MB held by a
+    fresh 256-node engine, bit-identical digests across domain counts,
+    and online-checked throughput at least half of unchecked. *)
 
 type micro = {
   iters : int;
@@ -15,11 +16,17 @@ type micro = {
   flat_ns : float;
   speedup : float;
   flat_minor_words_per_op : float;
+  flat_major_words_per_op : float;
+  engine_heap_mb : float;
+      (** live heap held by a fresh 256-node {!Dsm_sim.Par_engine}, after a
+          full major collection *)
 }
 
 type sim_cell = {
   domains : int;
+  setup_s : float;  (** seconds its [Par_engine.create] took *)
   wall_s : float;
+  live_heap_mb : float;  (** after its run and a full major, engine still reachable *)
   ops : int;
   ops_per_s : float;
   epochs : int;
@@ -53,11 +60,16 @@ val run : ?quick:bool -> ?seed:int -> unit -> result
     100k ops over 400k iterations under [~quick:true] (the CI shape). *)
 
 val run_micro : ?quick:bool -> unit -> micro
-(** Just the flat-vs-[Protocol.step] microbenchmark — the ALLOC=0 gate
-    without the minutes-long sim cells, for the blocking CI step. *)
+(** Just the flat-vs-[Protocol.step] microbenchmark and the engine heap —
+    the ALLOC=0 gate and the heap ceiling without the minutes-long sim
+    cells, for the blocking CI step. *)
 
 val micro_healthy : micro -> bool
-(** Speedup at least 5x and at most 0.01 minor-heap words per flat op. *)
+(** Speedup at least 5x, at most 0.01 minor- and 0.01 major-heap words per
+    flat op, and at most 32 MB held by the 256-node engine. *)
+
+val micro_line : micro -> string
+(** The micro figures on one line, as {!pp} and the CLI print them. *)
 
 val healthy : result -> bool
 

@@ -10,32 +10,36 @@
    owner-write / certify / install-remote / adopt services of Figure 4,
    with the same clock-merge and invalidation rules as {!Node} under the
    default configuration (Coarse invalidation, no mutation) — re-expressed
-   over preallocated flat [int] arrays:
+   over flat [int] arrays:
 
    - locations are dense ids from a {!Dsm_memory.Loc.Interner}, assigned
      once at setup; the hot loop never hashes a structured location;
-   - every vector clock lives in one shared arena ([clock], [stamp]) and
-     is manipulated in place by {!Vclock.Flat}; nothing is copied except
-     arena-to-arena blits;
+   - node clocks live in one shared arena ([clock]); each node keeps the
+     writestamps of the entries it holds in its own pool ([pools]), one
+     [n]-word window per held entry, so stamp memory follows the copies
+     the nodes actually hold, as Figure 4's per-value stamps do, not
+     [nodes * locs]; every stamp is manipulated in place by
+     {!Vclock.Flat} and nothing is copied except window-to-window blits;
    - completions are exposed through per-node out-fields ([last_*]) instead
      of freshly consed action lists — the caller reads them before the
      acting node's next step, the reusable-buffer analogue of
      [Protocol.step]'s action list.
 
-   After {!create}, no operation allocates: the microbench ALLOC=0 gate
-   ([Gc.minor_words] flat across a sustained run) and the alcotest copy of
-   it pin that property, and the property tests in [test_flat.ml] pin
+   A pool doubles only when its node holds more entries than it ever did
+   before, so pools grow to their node's peak occupancy and after that no
+   operation allocates: the microbench ALLOC=0 gate (minor and major
+   words flat across a sustained run) and the alcotest copy of it pin
+   that property, and the property tests in [test_flat.ml] pin
    step-for-step agreement with {!Node}.
 
    Domain-parallelism contract (see {!Par_engine}): every mutable cell is
-   indexed by the acting node — clock rows, entries, cached directories,
-   [last_*] out-fields, counters, and the [present] map (an [int array],
-   deliberately not a packed [Bytes] bitmap, so no two nodes ever
-   read-modify-write the same word).  Shards that partition nodes may
-   therefore run services concurrently with no synchronisation beyond
-   their own message barriers, as long as no two domains act as the same
-   node and stamp windows passed in are domain-local (a message buffer or
-   the acting node's own rows).
+   indexed by the acting node — clock rows, entries and their pool slots,
+   the node's pool and its free-slot chain, cached directories, [last_*]
+   out-fields and counters.  Shards that partition nodes may therefore run
+   services concurrently with no synchronisation beyond their own message
+   barriers, as long as no two domains act as the same node and stamp
+   windows passed in are domain-local (a message buffer or the acting
+   node's own rows).
 
    What is deliberately NOT here: epochs/fencing, shadow replication,
    votes, checkpoints, sharding, tracing, WAL — control-plane machinery
@@ -52,10 +56,14 @@ type t = {
   init_value : int;
   (* Node clocks: node [i]'s vector clock is the window at [i * n]. *)
   clock : int array;
-  (* Per (node, loc) entry, at e = node * locs + loc; [present.(e)] gates
-     validity, stamps live at [e * n] in the [stamp] arena. *)
-  present : int array;
-  stamp : int array;
+  (* Per (node, loc) entry, at e = node * locs + loc.  [slot.(e)] is the
+     entry's slot in its node's pool, or -1 when the entry is absent; its
+     stamp is the window at [slot * n] of [pools.(node)]. *)
+  slot : int array;
+  pools : int array array;
+  (* Head of each node's chain of free pool slots, -1 when none is left;
+     a free slot's first word holds the next free slot. *)
+  free : int array;
   value : int array;
   wid_node : int array;
   wid_seq : int array;
@@ -63,7 +71,8 @@ type t = {
      so the invalidation pass scans what the node actually caches — the
      flat mirror of [Node]'s hashtable iteration — instead of all [locs].
      [cached.(node * locs + k)] for k < [cached_len.(node)] lists the loc
-     ids; [cached_pos] maps entry index -> slot for O(1) swap-remove. *)
+     ids; [cached_pos] maps entry index -> directory position for O(1)
+     swap-remove. *)
   cached : int array;
   cached_len : int array;
   cached_pos : int array;
@@ -86,6 +95,14 @@ type t = {
   c_read_misses : int array;
 }
 
+(* Spare slots a pool starts with beyond its node's owned entries. *)
+let pool_slack = 4
+
+(* Push slot [s] of [node]'s pool onto the node's free chain. *)
+let give_slot t ~node s =
+  t.pools.(node).(s * t.n) <- t.free.(node);
+  t.free.(node) <- s
+
 let create ?(policy = Lww) ?(init_value = 0) ~nodes ~locs ~owner () =
   if nodes < 1 then invalid_arg "Flat.create: nodes must be >= 1";
   if locs < 1 then invalid_arg "Flat.create: locs must be >= 1";
@@ -94,6 +111,8 @@ let create ?(policy = Lww) ?(init_value = 0) ~nodes ~locs ~owner () =
     (fun o -> if o < 0 || o >= nodes then invalid_arg "Flat.create: owner out of range")
     owner;
   let entries = nodes * locs in
+  let owned = Array.make nodes 0 in
+  Array.iter (fun o -> owned.(o) <- owned.(o) + 1) owner;
   let t =
     {
       n = nodes;
@@ -102,8 +121,9 @@ let create ?(policy = Lww) ?(init_value = 0) ~nodes ~locs ~owner () =
       owner_favored = policy = Owner_favored;
       init_value;
       clock = Array.make (nodes * nodes) 0;
-      present = Array.make entries 0;
-      stamp = Array.make (entries * nodes) 0;
+      slot = Array.make entries (-1);
+      pools = Array.map (fun k -> Array.make ((k + pool_slack) * nodes) 0) owned;
+      free = Array.make nodes (-1);
       value = Array.make entries init_value;
       wid_node = Array.make entries (-1);
       wid_seq = Array.make entries 0;
@@ -126,10 +146,20 @@ let create ?(policy = Lww) ?(init_value = 0) ~nodes ~locs ~owner () =
   in
   (* Owned locations are born holding the initial value under a zero stamp
      and the virtual initial wid, exactly as [Node.lookup] materialises
-     them on first touch. *)
-  for loc = 0 to locs - 1 do
-    t.present.((owner.(loc) * locs) + loc) <- 1
-  done;
+     them on first touch: each takes the next slot of its owner's pool,
+     and the spare slots start the free chain. *)
+  let used = Array.make nodes 0 in
+  Array.iteri
+    (fun loc o ->
+      t.slot.((o * locs) + loc) <- used.(o);
+      used.(o) <- used.(o) + 1)
+    owner;
+  Array.iteri
+    (fun node k ->
+      for s = k + pool_slack - 1 downto k do
+        give_slot t ~node s
+      done)
+    owned;
   t
 
 let nodes t = t.n
@@ -142,7 +172,26 @@ let owner_of t loc = t.owner.(loc)
 
 let entry t ~node ~loc = (node * t.locs) + loc
 
-let has t e = t.present.(e) <> 0
+let has t e = t.slot.(e) >= 0
+
+(* A free slot of [node]'s pool.  When none is left the node holds more
+   entries than ever before: the pool doubles, copied by {!Vclock.Flat.blit}
+   ([Array.blit] would [caml_modify] every word of a major-heap array), and
+   the new half joins the free chain. *)
+let take_slot t ~node =
+  if t.free.(node) < 0 then begin
+    let pool = t.pools.(node) in
+    let cap = Array.length pool / t.n in
+    let bigger = Array.make (2 * cap * t.n) 0 in
+    Vclock.Flat.blit ~src:pool ~src_off:0 ~dst:bigger ~dst_off:0 ~dim:(cap * t.n);
+    t.pools.(node) <- bigger;
+    for s = (2 * cap) - 1 downto cap do
+      give_slot t ~node s
+    done
+  end;
+  let s = t.free.(node) in
+  t.free.(node) <- t.pools.(node).(s * t.n);
+  s
 
 let cached_add t ~node ~loc =
   let e = entry t ~node ~loc in
@@ -173,24 +222,28 @@ let cached_count t node = t.cached_len.(node)
    slot. *)
 let invalidate_older t ~node ~thr ~thr_off =
   let base = node * t.locs in
+  let pool = t.pools.(node) in
   let k = ref (t.cached_len.(node) - 1) in
   while !k >= 0 do
     let loc = t.cached.(base + !k) in
     let e = base + loc in
-    if Vclock.Flat.lt t.stamp ~a_off:(e * t.n) thr ~b_off:thr_off ~dim:t.n then begin
-      t.present.(e) <- 0;
+    let s = t.slot.(e) in
+    if Vclock.Flat.lt pool ~a_off:(s * t.n) thr ~b_off:thr_off ~dim:t.n then begin
+      give_slot t ~node s;
+      t.slot.(e) <- -1;
       cached_remove t ~node ~loc;
       t.c_invalidations.(node) <- t.c_invalidations.(node) + 1
     end;
     decr k
   done
 
-let store t ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
-  t.present.(e) <- 1;
+let store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
+  if t.slot.(e) < 0 then t.slot.(e) <- take_slot t ~node;
   t.value.(e) <- value;
   t.wid_node.(e) <- wid_node;
   t.wid_seq.(e) <- wid_seq;
-  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:t.stamp ~dst_off:(e * t.n) ~dim:t.n
+  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:t.pools.(node)
+    ~dst_off:(t.slot.(e) * t.n) ~dim:t.n
 
 (* {1 The Figure-4 services} *)
 
@@ -203,7 +256,7 @@ let owner_write t ~node ~loc ~value =
   let seq = t.wseq.(node) in
   t.wseq.(node) <- seq + 1;
   let e = entry t ~node ~loc in
-  store t ~e ~value ~wid_node:node ~wid_seq:seq ~stamp:t.clock ~stamp_off:(node * t.n);
+  store t ~node ~e ~value ~wid_node:node ~wid_seq:seq ~stamp:t.clock ~stamp_off:(node * t.n);
   t.c_writes_owned.(node) <- t.c_writes_owned.(node) + 1;
   t.last_accepted.(node) <- 1;
   t.last_value.(node) <- value;
@@ -233,13 +286,16 @@ let certify t ~node ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
   else begin
     t.c_writes_certified.(node) <- t.c_writes_certified.(node) + 1;
     let accept =
-      match Vclock.Flat.compare_vt stamp ~a_off:stamp_off t.stamp ~b_off:(e * t.n) ~dim:t.n with
+      match
+        Vclock.Flat.compare_vt stamp ~a_off:stamp_off t.pools.(node) ~b_off:(t.slot.(e) * t.n)
+          ~dim:t.n
+      with
       | Vclock.After -> true
       | Vclock.Concurrent -> not (t.owner_favored && t.wid_node.(e) = node)
       | Vclock.Before | Vclock.Equal -> false
     in
     if accept then begin
-      store t ~e ~value ~wid_node ~wid_seq ~stamp:t.clock ~stamp_off:coff;
+      store t ~node ~e ~value ~wid_node ~wid_seq ~stamp:t.clock ~stamp_off:coff;
       t.last_accepted.(node) <- 1;
       t.last_value.(node) <- value;
       t.last_wid_node.(node) <- wid_node;
@@ -262,7 +318,7 @@ let install_remote t ~node ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
   Vclock.Flat.merge_into ~dst:t.clock ~dst_off:(node * t.n) ~src:stamp ~src_off:stamp_off
     ~dim:t.n;
   let e = entry t ~node ~loc in
-  store t ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
+  store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
   cached_add t ~node ~loc;
   t.c_installs.(node) <- t.c_installs.(node) + 1;
   invalidate_older t ~node ~thr:stamp ~thr_off:stamp_off
@@ -273,7 +329,7 @@ let adopt_write_reply t ~node ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
   Vclock.Flat.merge_into ~dst:t.clock ~dst_off:(node * t.n) ~src:stamp ~src_off:stamp_off
     ~dim:t.n;
   let e = entry t ~node ~loc in
-  store t ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
+  store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
   cached_add t ~node ~loc
 
 (* Local read: owned locations always hit (they are born present); cached
@@ -310,7 +366,7 @@ let fresh_seq t ~node =
 
 (* Raw entry fields, allocation-free (meaningful only when the entry is
    present): the parallel engine serialises entries into message buffers
-   from these plus the {!stamp_arena} window at {!entry_off}. *)
+   from these plus the window at {!entry_off} of the node's {!stamp_arena}. *)
 let entry_value t ~node ~loc = t.value.(entry t ~node ~loc)
 
 let entry_wid_node t ~node ~loc = t.wid_node.(entry t ~node ~loc)
@@ -325,14 +381,19 @@ let clock_arena t = t.clock
 
 let clock_off t node = node * t.n
 
-let stamp_arena t = t.stamp
+let stamp_arena t ~node = t.pools.(node)
 
-let entry_off t ~node ~loc = entry t ~node ~loc * t.n
+let entry_off t ~node ~loc = t.slot.(entry t ~node ~loc) * t.n
 
 let entry_view t ~node ~loc =
   let e = entry t ~node ~loc in
   if not (has t e) then None
-  else Some (t.value.(e), Array.sub t.stamp (e * t.n) t.n, t.wid_node.(e), t.wid_seq.(e))
+  else
+    Some
+      ( t.value.(e),
+        Array.sub t.pools.(node) (t.slot.(e) * t.n) t.n,
+        t.wid_node.(e),
+        t.wid_seq.(e) )
 
 let last_accepted t ~node = t.last_accepted.(node) <> 0
 
@@ -352,17 +413,19 @@ let digest t =
     h := v land max_int
   in
   Array.iter mix t.clock;
-  let entries = t.n * t.locs in
-  for e = 0 to entries - 1 do
-    if t.present.(e) <> 0 then begin
-      mix e;
-      mix t.value.(e);
-      mix t.wid_node.(e);
-      mix t.wid_seq.(e);
-      for i = 0 to t.n - 1 do
-        mix t.stamp.((e * t.n) + i)
-      done
-    end
+  for node = 0 to t.n - 1 do
+    for loc = 0 to t.locs - 1 do
+      let e = entry t ~node ~loc in
+      if has t e then begin
+        mix e;
+        mix t.value.(e);
+        mix t.wid_node.(e);
+        mix t.wid_seq.(e);
+        for i = 0 to t.n - 1 do
+          mix t.pools.(node).((t.slot.(e) * t.n) + i)
+        done
+      end
+    done
   done;
   !h
 

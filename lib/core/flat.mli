@@ -1,6 +1,8 @@
 (** The flattened Figure-4 data path: the owner-write / certify /
     install-remote / adopt services of the causal-memory protocol over
-    preallocated flat [int] arenas, allocation-free after {!create}.
+    flat [int] arenas.  Each node keeps the writestamps of the entries it
+    holds in its own pool, which grows to the node's peak occupancy; after
+    that no operation allocates.
 
     This is the data plane twin of {!Node} under the default configuration
     (Coarse invalidation, no mutation): same clock-merge order, same
@@ -16,7 +18,8 @@
     partition the nodes (see {!Dsm_sim.Par_engine}) may run services
     concurrently from several domains with no synchronisation beyond their
     own message barriers — provided no two domains act as the same node
-    and stamp windows passed in are domain-local.
+    and stamp windows passed in are domain-local.  A node's pool is
+    touched only when that node acts.
 
     Control-plane machinery (failover epochs, quorum fencing, shadows,
     checkpoints, sharding, tracing) is deliberately absent — that traffic
@@ -28,10 +31,13 @@ type policy = Lww  (** {!Policy.Last_writer_wins} *) | Owner_favored
 
 val create :
   ?policy:policy -> ?init_value:int -> nodes:int -> locs:int -> owner:int array -> unit -> t
-(** [owner.(loc)] is the owning node of each interned location id.  All
-    arenas are sized here; no later operation allocates.  Owned locations
-    start present with [init_value], a zero stamp, and the virtual initial
-    wid, as {!Node.lookup} materialises them. *)
+(** [owner.(loc)] is the owning node of each interned location id.  Every
+    per-entry array is sized here; each node's stamp pool starts with a
+    slot per owned location plus a few spare ones.  Owned locations start
+    present with [init_value], a zero stamp, and the virtual initial wid,
+    as {!Node.lookup} materialises them.  Later, an install or adopt that
+    brings a node to more entries than it ever held doubles that node's
+    pool; nothing else allocates. *)
 
 val nodes : t -> int
 
@@ -42,7 +48,7 @@ val owner_of : t -> int -> int
 (** {1 The Figure-4 services}
 
     [stamp]/[stamp_off] arguments are windows of [nodes t] ints in any
-    arena (a message buffer, another node's clock row, this state's own
+    arena (a message buffer, another node's clock row, a node's
     {!stamp_arena}).  For {!certify} the window must not alias the
     certifying node's own clock row — the merge runs first and would
     corrupt the comparison. *)
@@ -138,10 +144,14 @@ val clock_arena : t -> int array
 
 val clock_off : t -> int -> int
 
-val stamp_arena : t -> int array
-(** The live per-entry writestamp arena; entry windows at {!entry_off}. *)
+val stamp_arena : t -> node:int -> int array
+(** [node]'s live writestamp pool: the stamp of each entry the node holds
+    is the window at {!entry_off}.  The node's next {!install_remote} or
+    {!adopt_write_reply} may replace the pool with a bigger copy, so fetch
+    it again after either. *)
 
 val entry_off : t -> node:int -> loc:int -> int
+(** Offset of a present entry's stamp in its node's {!stamp_arena}. *)
 
 val entry_view : t -> node:int -> loc:int -> (int * int array * int * int) option
 (** [(value, stamp copy, wid_node, wid_seq)] of a present entry. *)

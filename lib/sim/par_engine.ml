@@ -216,7 +216,7 @@ let serve_message t b o =
   if kind = m_r_req then begin
     (* Owner serves a read: reply with the current entry (owned locations
        are always present). *)
-    let stamps = Flat.stamp_arena flat in
+    let stamps = Flat.stamp_arena flat ~node:dst in
     send t ~kind:m_r_reply ~src:dst ~dst:src ~loc
       ~value:(Flat.entry_value flat ~node:dst ~loc)
       ~wid_node:(Flat.entry_wid_node flat ~node:dst ~loc)
@@ -227,7 +227,7 @@ let serve_message t b o =
   else if kind = m_w_req then begin
     Flat.certify flat ~node:dst ~loc ~value ~wid_node ~wid_seq ~stamp:b ~stamp_off:soff;
     let accepted = Flat.last_accepted flat ~node:dst in
-    let stamps = Flat.stamp_arena flat in
+    let stamps = Flat.stamp_arena flat ~node:dst in
     send t
       ~kind:(if accepted then m_w_reply_acc else m_w_reply_rej)
       ~src:dst ~dst:src ~loc

@@ -21,8 +21,8 @@ type order = Before | After | Equal | Concurrent
 
 (* {1 Flat windows}
 
-   The hot path (Dsm_protocol.Flat) stores many clocks side by side in one
-   preallocated [int array] and works on [dim]-wide windows starting at a
+   The hot path (Dsm_protocol.Flat) stores many clocks side by side in flat
+   [int array] arenas and works on [dim]-wide windows starting at a
    word offset.  Every operation here is in-place or a pure fold: none
    allocates, which is what the microbench ALLOC=0 gate measures.  Bounds
    are the caller's contract — these run inside loops already bounded by the

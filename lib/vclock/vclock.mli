@@ -67,11 +67,12 @@ val total_compare : t -> t -> int
 
 (** Allocation-free operations over clocks stored as [dim]-wide windows of
     a caller-owned flat [int array] (an arena of many clocks side by side).
-    The hot path ({!Dsm_protocol.Flat}) preallocates its arenas once per
-    run and reuses them across steps; nothing here allocates — the property
-    tests pin each operation to a product-order reference, and the
-    microbench ALLOC=0 gate pins the no-allocation claim.  The copying API
-    above is these kernels at offset 0, after its dimension check. *)
+    The hot path ({!Dsm_protocol.Flat}) keeps its clocks and writestamps
+    in such arenas and reuses them across steps; nothing here allocates —
+    the property tests pin each operation to a product-order reference,
+    and the microbench ALLOC=0 gate pins the no-allocation claim.  The
+    copying API above is these kernels at offset 0, after its dimension
+    check. *)
 module Flat : sig
   val merge_into : dst:int array -> dst_off:int -> src:int array -> src_off:int -> dim:int -> unit
   (** In-place component-wise maximum: [dst := update(dst, src)]. *)

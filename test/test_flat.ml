@@ -8,10 +8,11 @@
      report identical per-call verdicts.  The flat engine is only allowed
      to be a faster spelling of the same machine.
 
-   - {e the ALLOC=0 gate}: after [create], a sustained mix of every hot
-     operation must not grow [Gc.minor_words].  This is the property the
-     microbench speedup rests on; the test fails if anyone adds an
-     allocating step to the hot path. *)
+   - {e the ALLOC=0 gate}: once every node's stamp pool has reached its
+     peak occupancy, a sustained mix of every hot operation must not grow
+     the minor or the major heap.  This is the property the microbench
+     speedup rests on; the test fails if anyone adds an allocating step to
+     the hot path. *)
 
 module Node = Dsm_protocol.Node
 module Config = Dsm_protocol.Config
@@ -24,14 +25,13 @@ module Owner = Dsm_memory.Owner
 
 let nodes = 4
 
-let locs = 6
-
 let loc_of id = Loc.indexed "x" id
 
 let owner_of_loc id = id mod nodes
 
-(* One reference cluster + one flat state, with matching layouts. *)
-let make_pair () =
+(* One reference cluster + one flat state over [locs] locations, with
+   matching layouts. *)
+let make_pair ~locs =
   let owner = Owner.by_index ~nodes in
   let ref_nodes = Array.init nodes (fun id -> Node.create ~id ~owner ~config:Config.default) in
   (* Sanity: the interner-style dense layout must agree with Owner.by_index
@@ -57,17 +57,22 @@ let pp_op (tag, a, b, stamp) =
   Printf.sprintf "(%d,%d,%d,[%s])" tag a b
     (String.concat ";" (List.map string_of_int (interpret_stamp stamp)))
 
-let gen_ops =
+(* A case is a location count and an op sequence.  Counts run from 6 to
+   32, so on some cases (about one in ten) a node caches more locations
+   than its initial stamp pool holds, and the pool grows mid-sequence. *)
+let gen_case =
   QCheck.make
-    ~print:(fun ops -> String.concat " " (List.map pp_op ops))
+    ~print:(fun (locs, ops) ->
+      Printf.sprintf "locs %d: %s" locs (String.concat " " (List.map pp_op ops)))
     QCheck.Gen.(
-      list_size (int_range 1 60)
-        (quad (int_range 0 5) (int_range 0 23) (int_range 0 99)
-           (list_size (return nodes) (int_range 0 4))))
+      pair (int_range 6 32)
+        (list_size (int_range 1 100)
+           (quad (int_range 0 5) (int_range 0 95) (int_range 0 99)
+              (list_size (return nodes) (int_range 0 4)))))
 
 (* Apply one op to both sides; return false on any verdict mismatch. *)
 let apply (ref_nodes : Node.t array) (flat : Flat.t) ((tag, a, b, stamp) : op) : bool =
-  let l = a mod locs in
+  let l = a mod Flat.locations flat in
   let o = owner_of_loc l in
   let v = b mod 10 in
   match tag with
@@ -147,12 +152,14 @@ let apply (ref_nodes : Node.t array) (flat : Flat.t) ((tag, a, b, stamp) : op) :
           && Flat.last_wid_node flat ~node:n = entry.Stamped.wid.Wid.node
           && Flat.last_wid_seq flat ~node:n = entry.Stamped.wid.Wid.seq )
 
-(* Full-state agreement: clocks, and every (node, loc) entry. *)
+(* Full-state agreement: clocks, cache sizes, and every (node, loc)
+   entry. *)
 let states_agree (ref_nodes : Node.t array) (flat : Flat.t) : bool =
   let ok = ref true in
-  for n = 0 to nodes - 1 do
+  for n = 0 to Array.length ref_nodes - 1 do
     if Vclock.to_array (Node.vt ref_nodes.(n)) <> Flat.clock_of flat n then ok := false;
-    for l = 0 to locs - 1 do
+    if Node.cache_size ref_nodes.(n) <> Flat.cached_count flat n then ok := false;
+    for l = 0 to Flat.locations flat - 1 do
       match (Node.lookup ref_nodes.(n) (loc_of l), Flat.entry_view flat ~node:n ~loc:l) with
       | None, None -> ()
       | Some entry, Some (v, st, wn, ws) ->
@@ -168,14 +175,14 @@ let states_agree (ref_nodes : Node.t array) (flat : Flat.t) : bool =
   !ok
 
 let prop_flat_agrees_with_node =
-  QCheck.Test.make ~name:"flat data path agrees with Node step for step" ~count:400 gen_ops
-    (fun ops ->
-      let ref_nodes, flat = make_pair () in
+  QCheck.Test.make ~name:"flat data path agrees with Node step for step" ~count:400 gen_case
+    (fun (locs, ops) ->
+      let ref_nodes, flat = make_pair ~locs in
       List.for_all (apply ref_nodes flat) ops && states_agree ref_nodes flat)
 
 let prop_flat_counters_consistent =
-  QCheck.Test.make ~name:"flat counters add up" ~count:200 gen_ops (fun ops ->
-      let ref_nodes, flat = make_pair () in
+  QCheck.Test.make ~name:"flat counters add up" ~count:200 gen_case (fun (locs, ops) ->
+      let ref_nodes, flat = make_pair ~locs in
       List.iter (fun op -> ignore (apply ref_nodes flat op)) ops;
       let c = Flat.counters flat in
       c.Flat.writes_owned >= 0
@@ -186,13 +193,14 @@ let prop_flat_counters_consistent =
 (* {2 The ALLOC=0 gate}
 
    Drives every hot operation — owner writes, remote-write round trips
-   (bump / certify / adopt), installs, reads — through preallocated state
-   and asserts the minor heap did not grow.  [Gc.minor_words] itself boxes
-   its float result, so the measured delta has a small constant overhead
-   independent of the iteration count; anything an inner-loop allocation
-   would add scales with ITERS and trips the bound. *)
-
-let alloc_iters = 200_000
+   (bump / certify / adopt), installs, reads — and asserts that neither
+   heap grew.  Arrays over 256 words go straight to the major heap, so a
+   256-wide stamp pool that kept growing, or was reallocated on every
+   install, would show only there.  [Gc.counters] is exact for both heaps
+   ([Gc.quick_stat] on OCaml 5 lags until the next collection); its own
+   boxed result is a small constant independent of the iteration count,
+   and anything an inner-loop allocation would add scales with that count
+   and trips the bound. *)
 
 let alloc_bound_words = 256.0
 
@@ -200,7 +208,6 @@ let drive_hot_loop flat ~iters =
   let n = Flat.nodes flat in
   let locs = Flat.locations flat in
   let clock = Flat.clock_arena flat in
-  let stamps = Flat.stamp_arena flat in
   for i = 0 to iters - 1 do
     let l = i mod locs in
     let o = Flat.owner_of flat l in
@@ -212,6 +219,8 @@ let drive_hot_loop flat ~iters =
     Vclock.Flat.bump clock ~off:(Flat.clock_off flat w) w;
     Flat.certify flat ~node:o ~loc:l ~value:(i + 1) ~wid_node:w ~wid_seq:i ~stamp:clock
       ~stamp_off:(Flat.clock_off flat w);
+    (* The owner's pool: only the owner's own installs could replace it. *)
+    let stamps = Flat.stamp_arena flat ~node:o in
     let e = Flat.entry_off flat ~node:o ~loc:l in
     Flat.adopt_write_reply flat ~node:w ~loc:l ~value:(Flat.last_value flat ~node:o)
       ~wid_node:(Flat.last_wid_node flat ~node:o) ~wid_seq:(Flat.last_wid_seq flat ~node:o)
@@ -227,20 +236,44 @@ let drive_hot_loop flat ~iters =
     Flat.read flat ~node:r ~loc:((l + 1) mod locs)
   done
 
-let test_alloc_free_hot_path () =
-  let flat =
-    Flat.create ~nodes:8 ~locs:16 ~owner:(Array.init 16 (fun l -> l mod 8)) ()
-  in
-  (* Warm up: fault in every branch once before measuring. *)
+(* Every node caches the initial entries of up to 16 locations it does
+   not own.  Their stamps are all zero, so no install invalidates another,
+   and each pool doubles to the peak the hot loop then runs in (sim-256's
+   nodes hold at most 16 entries); the loop's first installs free those
+   slots for reuse. *)
+let cache_initial_entries flat =
+  let nodes = Flat.nodes flat and locs = Flat.locations flat in
+  for node = 0 to nodes - 1 do
+    for k = 1 to min 16 (locs - 1) do
+      let l = (node + k) mod locs in
+      let o = Flat.owner_of flat l in
+      if o <> node then
+        Flat.install_remote flat ~node ~loc:l ~value:(Flat.entry_value flat ~node:o ~loc:l)
+          ~wid_node:(Flat.entry_wid_node flat ~node:o ~loc:l)
+          ~wid_seq:(Flat.entry_wid_seq flat ~node:o ~loc:l)
+          ~stamp:(Flat.stamp_arena flat ~node:o) ~stamp_off:(Flat.entry_off flat ~node:o ~loc:l)
+    done
+  done
+
+(* The warm-up brings every pool to its peak size and faults in every
+   branch; the measured run must then allocate nothing on either heap. *)
+let check_alloc_free ~nodes ~locs ~iters =
+  let flat = Flat.create ~nodes ~locs ~owner:(Array.init locs (fun l -> l mod nodes)) () in
+  cache_initial_entries flat;
   drive_hot_loop flat ~iters:1_000;
-  let before = Gc.minor_words () in
-  drive_hot_loop flat ~iters:alloc_iters;
-  let after = Gc.minor_words () in
-  let delta = after -. before in
-  if delta > alloc_bound_words then
-    Alcotest.failf "hot path allocated: %.0f minor words over %d iterations" delta alloc_iters;
+  let minor0, _, major0 = Gc.counters () in
+  drive_hot_loop flat ~iters;
+  let minor1, _, major1 = Gc.counters () in
+  let minor = minor1 -. minor0 and major = major1 -. major0 in
+  if minor > alloc_bound_words || major > alloc_bound_words then
+    Alcotest.failf "hot path allocated at %d nodes: %.0f minor and %.0f major words over %d iterations"
+      nodes minor major iters;
   let c = Flat.counters flat in
-  Alcotest.(check bool) "did real work" true (c.Flat.writes_owned > alloc_iters)
+  Alcotest.(check bool) "did real work" true (c.Flat.writes_owned > iters)
+
+let test_alloc_free_hot_path () =
+  check_alloc_free ~nodes:8 ~locs:16 ~iters:200_000;
+  check_alloc_free ~nodes:256 ~locs:256 ~iters:20_000
 
 (* A focused semantic check the property above covers statistically:
    certification of a stale stamp must reject and must not clobber. *)
@@ -261,9 +294,8 @@ let test_install_invalidates_older () =
   let flat = Flat.create ~nodes:3 ~locs:2 ~owner:[| 0; 1 |] () in
   Flat.owner_write flat ~node:0 ~loc:0 ~value:1;
   let e0 = Flat.entry_off flat ~node:0 ~loc:0 in
-  let st = Flat.stamp_arena flat in
-  Flat.install_remote flat ~node:2 ~loc:0 ~value:1 ~wid_node:0 ~wid_seq:0 ~stamp:st
-    ~stamp_off:e0;
+  Flat.install_remote flat ~node:2 ~loc:0 ~value:1 ~wid_node:0 ~wid_seq:0
+    ~stamp:(Flat.stamp_arena flat ~node:0) ~stamp_off:e0;
   Alcotest.(check bool) "cached" true (Flat.cached_hit flat ~node:2 ~loc:0);
   Alcotest.(check int) "one cached" 1 (Flat.cached_count flat 2);
   (* A later write at node 1 whose stamp has heard node 0's write. *)
@@ -271,16 +303,62 @@ let test_install_invalidates_older () =
   Flat.certify flat ~node:1 ~loc:1 ~value:5 ~wid_node:2 ~wid_seq:0 ~stamp:dom ~stamp_off:0;
   Alcotest.(check bool) "accepted" true (Flat.last_accepted flat ~node:1);
   let e1 = Flat.entry_off flat ~node:1 ~loc:1 in
-  Flat.install_remote flat ~node:2 ~loc:1 ~value:5 ~wid_node:2 ~wid_seq:0 ~stamp:st
-    ~stamp_off:e1;
+  Flat.install_remote flat ~node:2 ~loc:1 ~value:5 ~wid_node:2 ~wid_seq:0
+    ~stamp:(Flat.stamp_arena flat ~node:1) ~stamp_off:e1;
   Alcotest.(check bool) "older cache invalidated" false (Flat.cached_hit flat ~node:2 ~loc:0);
   Alcotest.(check bool) "new cache present" true (Flat.cached_hit flat ~node:2 ~loc:1);
   Alcotest.(check int) "swap-remove bookkeeping" 1 (Flat.cached_count flat 2)
+
+(* Node 0 owns all 64 locations, so node 1's pool starts with a few spare
+   slots only.  Node 1 caches every location (newest first, so no install
+   invalidates an earlier one), and its pool doubles on the way; one
+   install with a dominating stamp frees 63 slots; caching the 63 again
+   must reuse them without growing the pool.  The reference Node pair
+   checks every entry and cache size after each install. *)
+let test_pool_grows_and_reuses_slots () =
+  let locs = 64 in
+  let owner = Owner.all_to ~nodes:2 0 in
+  let ref_nodes = Array.init 2 (fun id -> Node.create ~id ~owner ~config:Config.default) in
+  let flat = Flat.create ~nodes:2 ~locs ~owner:(Array.make locs 0) () in
+  let owner_write l =
+    ignore (Node.local_write ref_nodes.(0) (loc_of l) (Value.Int l));
+    Flat.owner_write flat ~node:0 ~loc:l ~value:l
+  in
+  let install l =
+    match Node.lookup ref_nodes.(0) (loc_of l) with
+    | None -> Alcotest.fail "owner entry missing"
+    | Some entry ->
+        Node.install_remote ref_nodes.(1) (loc_of l) entry;
+        Flat.install_remote flat ~node:1 ~loc:l ~value:(Value.to_int entry.Stamped.value)
+          ~wid_node:entry.Stamped.wid.Wid.node ~wid_seq:entry.Stamped.wid.Wid.seq
+          ~stamp:(Vclock.to_array entry.Stamped.stamp) ~stamp_off:0;
+        if not (states_agree ref_nodes flat) then Alcotest.failf "diverged after installing x.%d" l
+  in
+  let pool_slots () = Array.length (Flat.stamp_arena flat ~node:1) / 2 in
+  let initial = pool_slots () in
+  for l = 0 to locs - 1 do
+    owner_write l
+  done;
+  for l = locs - 1 downto 0 do
+    install l
+  done;
+  Alcotest.(check int) "all cached" locs (Flat.cached_count flat 1);
+  let grown = pool_slots () in
+  Alcotest.(check bool) "pool grew" true (initial < locs && grown >= locs);
+  owner_write 0;
+  install 0;
+  Alcotest.(check int) "dominating install leaves one" 1 (Flat.cached_count flat 1);
+  for l = locs - 1 downto 1 do
+    install l
+  done;
+  Alcotest.(check int) "all cached again" locs (Flat.cached_count flat 1);
+  Alcotest.(check int) "freed slots reused" grown (pool_slots ())
 
 let suite =
   [
     Alcotest.test_case "certify rejects stale" `Quick test_certify_rejects_stale;
     Alcotest.test_case "install invalidates older" `Quick test_install_invalidates_older;
+    Alcotest.test_case "pool grows and reuses slots" `Quick test_pool_grows_and_reuses_slots;
     Alcotest.test_case "hot path is allocation-free" `Quick test_alloc_free_hot_path;
     QCheck_alcotest.to_alcotest prop_flat_agrees_with_node;
     QCheck_alcotest.to_alcotest prop_flat_counters_consistent;
