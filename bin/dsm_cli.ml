@@ -462,7 +462,8 @@ let bench_cmd =
     | `Core when micro_only ->
         let m = Core_bench.run_micro ~quick () in
         print_endline (Core_bench.micro_line m);
-        Printf.printf "gate (>=5x, <=0.01 minor and major words/op, engine heap <= 32 MB): %s\n"
+        Printf.printf
+          "gate (>=5x, <=0.01 minor and major words/op, engine heap <= 32 MB, engine round <= 1 minor word/op): %s\n"
           (if Core_bench.micro_healthy m then "PASS" else "FAIL");
         if Core_bench.micro_healthy m then exit 0 else exit 1
     | `Core ->

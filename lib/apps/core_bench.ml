@@ -5,8 +5,9 @@
    - micro: the flattened owner-write service ({!Dsm_protocol.Flat}) against
      the boxed {!Dsm_protocol.Protocol.step} on the identical 2-node/1-loc
      shape, hand-timed over a fixed iteration count, plus the minor- and
-     major-heap words the flat loop allocates (the ALLOC=0 gate) and the
-     live heap a fresh 256-node parallel engine holds (the heap ceiling);
+     major-heap words the flat loop allocates (the ALLOC=0 gate), the
+     live heap a fresh 256-node parallel engine holds (the heap ceiling)
+     and the minor words per op a 100k-op round of that engine allocates;
    - sim: the conservative parallel engine ({!Dsm_sim.Par_engine}) driving a
      [nodes]-node, [target_ops]-op workload at 1/2/4 domains, with the
      digest-equality determinism gate, each cell's set-up time and the live
@@ -31,6 +32,7 @@ type micro = {
   flat_minor_words_per_op : float;  (** the ALLOC=0 gate: ~0.0 *)
   flat_major_words_per_op : float;  (** the ALLOC=0 gate: ~0.0 *)
   engine_heap_mb : float;  (** held by a fresh 256-node engine; the ceiling is 32 *)
+  engine_minor_words_per_op : float;  (** that engine's first 100k ops; the gate is 1 *)
 }
 
 type sim_cell = {
@@ -77,20 +79,29 @@ let live_heap_mb () =
 let sim_params ~nodes ~seed =
   { (Par.default_params ~nodes) with seed; shards = 16; remote_pct = 30 }
 
-(* The heap a fresh engine at the benchmark's full size holds: Flat's
-   per-entry arrays plus one small stamp pool per node, about 6 MB.  The
+(* A fresh engine at the benchmark's full size: the heap it holds, and
+   the minor words per op its first round allocates.  The heap is Flat's
+   per-entry arrays plus one small stamp pool per node, about 6 MB; the
    ceiling catches a return to dense stamps: a window for every (node,
-   location) pair is 128 MiB at this size. *)
-let engine_heap_nodes = 256
+   location) pair is 128 MiB at this size.  A round allocates its
+   buffers once and then nothing per op; the gate catches a box back on
+   that path, such as a boxed PRNG draw (about 20 words per op). *)
+let engine_nodes = 256
 
 let engine_heap_ceiling_mb = 32.0
 
-let measure_engine_heap () =
+let engine_ops = 100_000
+
+let engine_minor_words_gate = 1.0
+
+let measure_engine () =
   let before = live_heap_mb () in
-  let eng = Par.create (sim_params ~nodes:engine_heap_nodes ~seed:1) in
+  let eng = Par.create (sim_params ~nodes:engine_nodes ~seed:1) in
   let held = live_heap_mb () -. before in
-  ignore (Sys.opaque_identity eng);
-  held
+  let w0 = Gc.minor_words () in
+  let stats = Par.run ~domains:1 ~target_ops:engine_ops eng in
+  let words = Gc.minor_words () -. w0 in
+  (held, words /. float_of_int stats.Par.completed)
 
 (* {1 Micro: flat vs Protocol.step owner write} *)
 
@@ -125,16 +136,20 @@ let measure_micro ~iters =
   for _ = 1 to warmup do
     flat_once ()
   done;
-  (* [Gc.counters] is exact for both heaps ([Gc.quick_stat] on OCaml 5
-     lags until the next collection) and boxes its own result; amortised
-     over the loop that noise is far below the 0.01 words/op gate. *)
-  let minor0, _, major0 = Gc.counters () in
+  (* [Gc.minor_words] and [Gc.counters]'s major words are exact
+     ([Gc.quick_stat] on OCaml 5 lags until the next collection, and
+     [Gc.counters] on OCaml 5.1 reads the minor words allocated since the
+     last minor collection at an eighth of their number).  [Gc.counters]
+     boxes its own result, which amortised over the loop is far below the
+     0.01 words/op gate. *)
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
   let t0 = now_s () in
   for _ = 1 to iters do
     flat_once ()
   done;
   let flat_ns = (now_s () -. t0) *. 1e9 /. float_of_int iters in
-  let minor1, _, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+  let engine_heap_mb, engine_minor_words_per_op = measure_engine () in
   {
     iters;
     step_ns;
@@ -142,7 +157,8 @@ let measure_micro ~iters =
     speedup = step_ns /. flat_ns;
     flat_minor_words_per_op = (minor1 -. minor0) /. float_of_int iters;
     flat_major_words_per_op = (major1 -. major0) /. float_of_int iters;
-    engine_heap_mb = measure_engine_heap ();
+    engine_heap_mb;
+    engine_minor_words_per_op;
   }
 
 (* {1 Sim: the parallel engine at 1/2/4 domains} *)
@@ -243,6 +259,7 @@ let micro_healthy m =
   && m.flat_minor_words_per_op <= 0.01
   && m.flat_major_words_per_op <= 0.01
   && m.engine_heap_mb <= engine_heap_ceiling_mb
+  && m.engine_minor_words_per_op <= engine_minor_words_gate
 
 let healthy r =
   micro_healthy r.micro
@@ -254,9 +271,9 @@ let healthy r =
 
 let micro_line m =
   Printf.sprintf
-    "micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor, %.4f major words/op); %d-node engine holds %.1f MB"
-    m.step_ns m.flat_ns m.speedup m.flat_minor_words_per_op m.flat_major_words_per_op
-    engine_heap_nodes m.engine_heap_mb
+    "micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor, %.4f major words/op); %d-node engine holds %.1f MB, its first %dk ops allocate %.3f minor words/op"
+    m.step_ns m.flat_ns m.speedup m.flat_minor_words_per_op m.flat_major_words_per_op engine_nodes
+    m.engine_heap_mb (engine_ops / 1000) m.engine_minor_words_per_op
 
 let json_float f =
   if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
@@ -278,7 +295,8 @@ let to_json r =
   field "    \"speedup\": %s,\n" (json_float r.micro.speedup);
   field "    \"flat_minor_words_per_op\": %s,\n" (json_float r.micro.flat_minor_words_per_op);
   field "    \"flat_major_words_per_op\": %s,\n" (json_float r.micro.flat_major_words_per_op);
-  field "    \"engine_heap_mb\": %s\n" (json_float r.micro.engine_heap_mb);
+  field "    \"engine_heap_mb\": %s,\n" (json_float r.micro.engine_heap_mb);
+  field "    \"engine_minor_words_per_op\": %s\n" (json_float r.micro.engine_minor_words_per_op);
   field "  },\n";
   field "  \"sim\": [\n";
   List.iteri

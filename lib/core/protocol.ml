@@ -373,12 +373,16 @@ let note_access t ~src loc =
 
 (* Broadcast scoping: with sharding, per-base traffic fans out to the
    base's share-set only (takeover announcements, demotion frontiers), and
-   votes are canvassed from its ring. *)
-let subscriber_targets t ~me ~base =
-  let all () = List.filter (fun d -> d <> me) (List.init (Array.length t.nodes) Fun.id) in
+   votes are canvassed from its ring.  [to_subscribers] calls [f] on each
+   target in ascending order, walking the cached share-set rather than
+   building a list: heartbeats take this path on every tick. *)
+let to_subscribers t ~me ~base f =
   match t.sharding with
-  | None -> all ()
-  | Some s -> List.filter (fun d -> d <> me) (Shard.subscribers s (Shard.of_base s base))
+  | None ->
+      for d = 0 to Array.length t.nodes - 1 do
+        if d <> me then f d
+      done
+  | Some s -> List.iter (fun d -> if d <> me then f d) (Shard.subscribers s (Shard.of_base s base))
 
 let ring_targets t ~me ~base =
   match t.sharding with
@@ -557,8 +561,7 @@ let promote_takeover t acc ~me ~base ~epoch =
   (* Only the base's subscribers route requests to it, so only they need
      the announcement; stragglers outside the share-set learn lazily from
      STALE fencing if they ever subscribe later. *)
-  List.iter
-    (fun dst ->
+  to_subscribers t ~me ~base (fun dst ->
       act acc
         (Send
            {
@@ -567,8 +570,7 @@ let promote_takeover t acc ~me ~base ~epoch =
              kind = "TAKEOVER";
              size = 1;
              msg = Message.Takeover { base; epoch; serving = me };
-           }))
-    (subscriber_targets t ~me ~base);
+           }));
   match backup_of t ~serving:me with
   | Some next_backup
     when next_backup <> deposed
@@ -1092,19 +1094,11 @@ let step t event =
           let view = Node.view t.nodes.(me) in
           (* Heartbeats go to the nodes that watch this one: every other
              node without sharding, its own shard's share-set with it.  A
-             node whose detector ignores this one would drop them unread. *)
-          List.iter
-            (fun dst ->
-              act acc
-                (Send
-                   {
-                     src = me;
-                     dst;
-                     kind = "HB";
-                     size = 1 + List.length view;
-                     msg = Message.Heartbeat { view };
-                   }))
-            (subscriber_targets t ~me ~base:me);
+             node whose detector ignores this one would drop them unread.
+             Every destination gets the same message. *)
+          let msg = Message.Heartbeat { view } and size = 1 + List.length view in
+          to_subscribers t ~me ~base:me (fun dst ->
+              act acc (Send { src = me; dst; kind = "HB"; size; msg }));
           let newly = Detector.tick dets.(me) ~now in
           List.iter
             (fun peer ->

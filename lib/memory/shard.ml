@@ -19,6 +19,11 @@ type t = {
   rings : int array array; (* shard -> ring members, ascending *)
   shard_of_node : int array; (* node -> the shard whose ring holds it *)
   subscribers : (int, unit) Hashtbl.t array; (* shard -> share-set ⊇ ring *)
+  (* shard -> its share-set ascending, as [subscribers] returns it, or []
+     once a subscribe or unsubscribe has changed the set (a share-set
+     holds its ring, so it is never empty).  Every heartbeat tick reads
+     one; they change only at a join or a leave. *)
+  sorted : int list array;
 }
 
 let make ~nodes ~shards =
@@ -38,7 +43,7 @@ let make ~nodes ~shards =
         tbl)
       rings
   in
-  { nodes; count = shards; rings; shard_of_node; subscribers }
+  { nodes; count = shards; rings; shard_of_node; subscribers; sorted = Array.make shards [] }
 
 let full ~nodes = make ~nodes ~shards:1
 
@@ -96,17 +101,31 @@ let subscribed t ~shard ~node =
 let subscribe t ~shard ~node =
   check_shard t shard;
   check_node t node;
-  Hashtbl.replace t.subscribers.(shard) node ()
+  if not (Hashtbl.mem t.subscribers.(shard) node) then begin
+    Hashtbl.replace t.subscribers.(shard) node ();
+    t.sorted.(shard) <- []
+  end
 
 let unsubscribe t ~shard ~node =
   (* Ring members are permanent: the owner ring is the shard's replication
      floor, so only runtime subscribers can leave. *)
   check_node t node;
-  if not (in_ring t ~shard ~node) then Hashtbl.remove t.subscribers.(shard) node
+  if (not (in_ring t ~shard ~node)) && Hashtbl.mem t.subscribers.(shard) node then begin
+    Hashtbl.remove t.subscribers.(shard) node;
+    t.sorted.(shard) <- []
+  end
 
 let subscribers t shard =
   check_shard t shard;
-  Hashtbl.fold (fun node () acc -> node :: acc) t.subscribers.(shard) [] |> List.sort compare
+  match t.sorted.(shard) with
+  | [] ->
+      let sorted =
+        Hashtbl.fold (fun node () acc -> node :: acc) t.subscribers.(shard) []
+        |> List.sort Int.compare
+      in
+      t.sorted.(shard) <- sorted;
+      sorted
+  | sorted -> sorted
 
 let membership t shard = Membership.of_list (subscribers t shard)
 

@@ -59,7 +59,9 @@ val unsubscribe : t -> shard:int -> node:int -> unit
     floor and cannot leave; for them this is a no-op. *)
 
 val subscribers : t -> int -> int list
-(** The share-set, ascending; always a superset of the ring. *)
+(** The share-set, ascending; always a superset of the ring.  Cached:
+    only a {!subscribe} or {!unsubscribe} that changes the set makes the
+    next call rebuild it. *)
 
 val membership : t -> int -> Membership.t
 (** The share-set as a {!Membership}: the index map and width that price

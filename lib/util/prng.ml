@@ -1,15 +1,27 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes.  A mutable [int64]
+   field would box a fresh state on every advance, and a draw is on the
+   path of every simulated message; with the bytes, [next_int64] inlines
+   into the draws below, and those that return an int or a bool allocate
+   nothing. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
 
-let copy t = { state = t.state }
+let copy = Bytes.copy
 
 (* SplitMix64 output function: advance by the golden gamma, then mix. *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -30,7 +42,8 @@ let int_in t lo hi =
   if lo > hi then invalid_arg "Prng.int_in: lo > hi";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+(* Inlined into [chance] and [exponential], which then box no float. *)
+let[@inline] float t bound =
   (* 53 uniform bits mapped to [0, 1). *)
   let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
   float_of_int bits /. 9007199254740992.0 *. bound

@@ -3,7 +3,9 @@
     All randomness in the simulator flows through this module so that every
     experiment is reproducible bit-for-bit from a seed.  The generator is
     SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): tiny state, excellent
-    statistical quality for simulation purposes, and trivially splittable. *)
+    statistical quality for simulation purposes, and trivially splittable.
+    The state is kept unboxed: {!int}, {!int_in}, {!bool} and {!chance}
+    allocate nothing. *)
 
 type t
 (** Mutable generator state. *)

@@ -196,11 +196,13 @@ let prop_flat_counters_consistent =
    (bump / certify / adopt), installs, reads — and asserts that neither
    heap grew.  Arrays over 256 words go straight to the major heap, so a
    256-wide stamp pool that kept growing, or was reallocated on every
-   install, would show only there.  [Gc.counters] is exact for both heaps
-   ([Gc.quick_stat] on OCaml 5 lags until the next collection); its own
-   boxed result is a small constant independent of the iteration count,
-   and anything an inner-loop allocation would add scales with that count
-   and trips the bound. *)
+   install, would show only there.  [Gc.minor_words] and [Gc.counters]'s
+   major words are exact ([Gc.quick_stat] on OCaml 5 lags until the next
+   collection, and [Gc.counters] on OCaml 5.1 reads the minor words
+   allocated since the last minor collection at an eighth of their
+   number); [Gc.counters]'s boxed result is a small constant independent
+   of the iteration count, and anything an inner-loop allocation would
+   add scales with that count and trips the bound. *)
 
 let alloc_bound_words = 256.0
 
@@ -261,9 +263,9 @@ let check_alloc_free ~nodes ~locs ~iters =
   let flat = Flat.create ~nodes ~locs ~owner:(Array.init locs (fun l -> l mod nodes)) () in
   cache_initial_entries flat;
   drive_hot_loop flat ~iters:1_000;
-  let minor0, _, major0 = Gc.counters () in
+  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
   drive_hot_loop flat ~iters;
-  let minor1, _, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
   let minor = minor1 -. minor0 and major = major1 -. major0 in
   if minor > alloc_bound_words || major > alloc_bound_words then
     Alcotest.failf "hot path allocated at %d nodes: %.0f minor and %.0f major words over %d iterations"

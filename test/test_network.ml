@@ -59,13 +59,16 @@ let test_counters () =
   Network.send net ~src:0 ~dst:1 ~kind:"A" ~size:10 "x";
   Network.send net ~src:0 ~dst:2 ~kind:"B" ~size:5 "y";
   Network.send net ~src:1 ~dst:2 ~kind:"A" ~size:1 "z";
+  (* A kind built at run time is not the literal's string, but counts
+     under the same entry. *)
+  Network.send net ~src:2 ~dst:1 ~kind:(String.make 1 'A') ~size:4 "w";
   Engine.run e;
   let c = Network.counters net in
-  Alcotest.(check int) "total" 3 c.Network.total;
-  Alcotest.(check int) "bytes" 16 c.Network.bytes;
-  Alcotest.(check (list (pair string int))) "kinds" [ ("A", 2); ("B", 1) ] c.Network.by_kind;
-  Alcotest.(check (array int)) "sent_by" [| 2; 1; 0 |] c.Network.sent_by;
-  Alcotest.(check (array int)) "received_by" [| 0; 1; 2 |] c.Network.received_by
+  Alcotest.(check int) "total" 4 c.Network.total;
+  Alcotest.(check int) "bytes" 20 c.Network.bytes;
+  Alcotest.(check (list (pair string int))) "kinds" [ ("A", 3); ("B", 1) ] c.Network.by_kind;
+  Alcotest.(check (array int)) "sent_by" [| 2; 1; 1 |] c.Network.sent_by;
+  Alcotest.(check (array int)) "received_by" [| 0; 2; 2 |] c.Network.received_by
 
 let test_reset_counters () =
   let e, net = setup () in
@@ -75,6 +78,7 @@ let test_reset_counters () =
   Network.reset_counters net;
   let c = Network.counters net in
   Alcotest.(check int) "window empty" 0 c.Network.total;
+  Alcotest.(check (list (pair string int))) "no kinds" [] c.Network.by_kind;
   Alcotest.(check int) "lifetime kept" 1 (Network.lifetime_total net)
 
 let test_self_send_is_local () =
@@ -95,9 +99,15 @@ let test_link_override () =
   Network.set_link_latency net ~src:0 ~dst:1 (Latency.Constant 10.0);
   let at = ref 0.0 in
   Network.set_handler net ~node:1 (fun ~src:_ _ -> at := Engine.now e);
+  Network.set_handler net ~node:0 (fun ~src:_ _ -> at := Engine.now e);
   Network.send net ~src:0 ~dst:1 ();
   Engine.run e;
-  Alcotest.(check (float 1e-6)) "slow link" 10.0 !at
+  Alcotest.(check (float 1e-6)) "slow link" 10.0 !at;
+  (* The override is per directed link: the reverse link keeps the
+     default. *)
+  Network.send net ~src:1 ~dst:0 ();
+  Engine.run e;
+  Alcotest.(check (float 1e-6)) "reverse link at default latency" 11.0 !at
 
 let test_missing_handler () =
   let e, net = setup () in
@@ -142,6 +152,41 @@ let test_tracer () =
   match !seen with
   | [ (time, 0, 1, "PING", "a") ] -> Alcotest.(check (float 0.0)) "at send time" 0.0 time
   | _ -> Alcotest.fail "tracer saw the wrong events"
+
+(* One frame sent and delivered on a fault-free link with no per-link
+   override, the path of every Cluster message.  Frames go one at a time,
+   each delivered before the next is sent, so the engine's queue never
+   grows.  [Gc.minor_words] is exact; [Gc.counters] on OCaml 5.1 reads
+   the words allocated since the last minor collection at an eighth of
+   their number. *)
+let frame_words_bound = 22.0
+
+let test_frame_allocation () =
+  let e = Engine.create () in
+  let net = Network.create e ~nodes:2 () in
+  let got = ref 0 in
+  Network.set_handler net ~node:1 (fun ~src:_ _ -> incr got);
+  (* Variables, not constants, as at the Cluster's send site: a constant
+     optional argument is a static [Some] and would hide that box. *)
+  let kind = Sys.opaque_identity "DATA" and size = Sys.opaque_identity 8 in
+  let frame () =
+    Network.send net ~src:0 ~dst:1 ~kind ~size ();
+    while Engine.step e do
+      ()
+    done
+  in
+  for _ = 1 to 100 do
+    frame ()
+  done;
+  let frames = 20_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to frames do
+    frame ()
+  done;
+  let per_frame = (Gc.minor_words () -. w0) /. float_of_int frames in
+  Alcotest.(check int) "every frame delivered" (frames + 100) !got;
+  if per_frame > frame_words_bound then
+    Alcotest.failf "a frame allocated %.2f minor words (bound %.0f)" per_frame frame_words_bound
 
 (* ------------------------------------------------------------------ *)
 (* Latency.sample properties                                           *)
@@ -305,6 +350,7 @@ let suite =
     Alcotest.test_case "in flight" `Quick test_in_flight;
     Alcotest.test_case "handler replies" `Quick test_handlers_can_reply;
     Alcotest.test_case "tracer" `Quick test_tracer;
+    Alcotest.test_case "frame allocation" `Quick test_frame_allocation;
     QCheck_alcotest.to_alcotest prop_sample_strictly_positive;
     QCheck_alcotest.to_alcotest prop_uniform_within_bounds;
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean_under_fixed_seed;

@@ -119,6 +119,49 @@ let test_pick_member () =
     Alcotest.(check bool) "member" true (Array.exists (String.equal v) a)
   done
 
+(* The SplitMix64 stream pinned value by value: the state's
+   representation may change, the numbers it draws may not.  Seed 0's
+   first output is the published SplitMix64 reference value. *)
+let test_pinned_stream () =
+  let p = Prng.create 42L in
+  Alcotest.(check int64) "draw 1" 0xBDD732262FEB6E95L (Prng.next_int64 p);
+  Alcotest.(check int64) "draw 2" 0x28EFE333B266F103L (Prng.next_int64 p);
+  Alcotest.(check int64) "draw 3" 0x47526757130F9F52L (Prng.next_int64 p);
+  let child = Prng.split p in
+  Alcotest.(check int64) "split child" 0x3304D23DB2A8B503L (Prng.next_int64 child);
+  Alcotest.(check (float 0.0)) "float" 0.038030168540246212 (Prng.float p 1.0);
+  Alcotest.(check int) "int" 350 (Prng.int p 1000);
+  Alcotest.(check int64) "seed 0" 0xE220A8397B1DCDAFL (Prng.next_int64 (Prng.create 0L))
+
+(* A draw is on the path of every simulated message, so it must not box.
+   [next_int64] hands its caller a boxed [int64] (the build compiles each
+   module opaquely, so it cannot inline across modules), but the draws
+   that return an immediate allocate nothing.  [Gc.minor_words] is exact
+   and unboxed ([Gc.counters] on OCaml 5.1 reads words allocated since the
+   last minor collection at an eighth of their number). *)
+let minor_words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_draws_allocate_nothing () =
+  let p = Prng.create 7L in
+  let acc = ref 0 in
+  let draws name draw =
+    let words =
+      minor_words_of (fun () ->
+          for _ = 1 to 10_000 do
+            acc := !acc + draw ()
+          done)
+    in
+    Alcotest.(check (float 0.0)) (name ^ ": minor words over 10k draws") 0.0 words
+  in
+  draws "int" (fun () -> Prng.int p 1000);
+  draws "int_in" (fun () -> Prng.int_in p (-5) 5);
+  draws "bool" (fun () -> Bool.to_int (Prng.bool p));
+  draws "chance" (fun () -> Bool.to_int (Prng.chance p 0.3));
+  ignore (Sys.opaque_identity !acc)
+
 let prop_int_bounds =
   QCheck.Test.make ~name:"prng int always within bound" ~count:500
     QCheck.(pair small_int (int_range 1 1000))
@@ -145,5 +188,7 @@ let suite =
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_is_permutation;
     Alcotest.test_case "pick empty" `Quick test_pick_empty;
     Alcotest.test_case "pick member" `Quick test_pick_member;
+    Alcotest.test_case "pinned stream" `Quick test_pinned_stream;
+    Alcotest.test_case "draws allocate nothing" `Quick test_draws_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_int_bounds;
   ]

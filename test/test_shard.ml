@@ -37,12 +37,15 @@ let test_subscribe_unsubscribe () =
   let s = Shard.make ~nodes:6 ~shards:2 in
   Alcotest.(check bool) "ring member born subscribed" true (Shard.subscribed s ~shard:0 ~node:1);
   Alcotest.(check bool) "outsider not subscribed" false (Shard.subscribed s ~shard:0 ~node:4);
+  (* [subscribers] is cached: every read below follows a change. *)
+  Alcotest.(check (list int)) "ring only" [ 0; 1; 2 ] (Shard.subscribers s 0);
   Shard.subscribe s ~shard:0 ~node:4;
   Alcotest.(check bool) "joined" true (Shard.subscribed s ~shard:0 ~node:4);
   Alcotest.(check (list int)) "share-set" [ 0; 1; 2; 4 ] (Shard.subscribers s 0);
   Alcotest.(check int) "width grew" 4 (Shard.width s 0);
   Shard.unsubscribe s ~shard:0 ~node:4;
   Alcotest.(check bool) "left" false (Shard.subscribed s ~shard:0 ~node:4);
+  Alcotest.(check (list int)) "share-set after leave" [ 0; 1; 2 ] (Shard.subscribers s 0);
   Shard.unsubscribe s ~shard:0 ~node:1;
   Alcotest.(check bool) "ring member cannot leave" true (Shard.subscribed s ~shard:0 ~node:1)
 
