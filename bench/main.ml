@@ -1,6 +1,6 @@
 (* Bench/experiment harness entry point.
 
-   dune exec bench/main.exe                 -- every experiment + microbenches
+   dune exec bench/main.exe                 -- every experiment
    dune exec bench/main.exe -- msg          -- one section (see DESIGN.md)
    dune exec bench/main.exe -- fig1 --csv out -- also dump each table as CSV
 
@@ -13,19 +13,15 @@ let usage oc =
   output_string oc "sections:\n";
   List.iter
     (fun (name, _) -> Printf.fprintf oc "  %s\n" name)
-    Dsm_experiments.Experiments.all;
-  output_string oc "  micro\n"
+    Dsm_experiments.Experiments.all
 
 let run_section section =
-  if section = "micro" then Micro.run ()
-  else begin
-    match List.assoc_opt section Dsm_experiments.Experiments.all with
-    | Some run -> run ()
-    | None ->
-        Printf.printf "unknown section %S\n\n" section;
-        usage stdout;
-        exit 1
-  end
+  match List.assoc_opt section Dsm_experiments.Experiments.all with
+  | Some run -> run ()
+  | None ->
+      Printf.printf "unknown section %S\n\n" section;
+      usage stdout;
+      exit 1
 
 let () =
   match Dsm_experiments.Bench_cli.parse (List.tl (Array.to_list Sys.argv)) with
@@ -45,7 +41,5 @@ let () =
           Dsm_experiments.Experiments.set_csv_dir (Some dir)
       | None -> ());
       match sections with
-      | [] ->
-          List.iter (fun (_, run) -> run ()) Dsm_experiments.Experiments.all;
-          Micro.run ()
+      | [] -> List.iter (fun (_, run) -> run ()) Dsm_experiments.Experiments.all
       | sections -> List.iter run_section sections)

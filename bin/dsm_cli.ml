@@ -8,7 +8,7 @@
      anomaly   reproduce the Figure 3 broadcast anomaly
      workload  run a random workload and classify its execution
      chaos     run a workload over lossy links with the reliable transport
-     bench     transport perf baseline: batching on vs off, JSON artifact
+     bench     run one benchmark workload, write its BENCH_<W>.json report
 *)
 
 open Cmdliner
@@ -354,136 +354,49 @@ let chaos_cmd =
 
 let bench_cmd =
   let module Bench = Dsm_apps.Bench in
-  let module Recovery = Dsm_apps.Recovery_bench in
-  let module Partition = Dsm_apps.Partition_bench in
-  let module Shard_bench = Dsm_apps.Shard_bench in
-  let module Objects_bench = Dsm_apps.Objects_bench in
-  let module Core_bench = Dsm_apps.Core_bench in
-  let which =
-    Arg.(value
-         & pos 0
-             (enum
-                [ ("transport", `Transport); ("recovery", `Recovery);
-                  ("partition", `Partition); ("shard", `Shard);
-                  ("objects", `Objects); ("core", `Core) ])
-             `Transport
-         & info [] ~docv:"BENCH"
-             ~doc:"Which benchmark to run: transport (batching on vs off), recovery \
-                   (whole-cluster restart replay with vs without checkpointing), \
-                   partition (majority-side availability through a quorum-fenced \
-                   partition window), shard (full vs partial replication on \
-                   messages/op and metadata bytes/op at 16-64 nodes), objects \
-                   (wire cost and checker verdicts per Causal_object instance), or \
-                   core (flat data path vs Protocol.step, the domain-parallel \
-                   engine at 1/2/4 domains, and windowed-checker overhead).")
+  let module Report = Dsm_apps.Report in
+  let workload =
+    Arg.(required
+         & pos 0 (some (enum (List.map (fun (w : Bench.workload) -> (w.name, w)) Bench.table))) None
+         & info [] ~docv:"W"
+             ~doc:(String.concat "; "
+                     (List.map (fun (w : Bench.workload) -> Printf.sprintf "$(b,%s): %s" w.name w.doc)
+                        Bench.table)))
   in
   let quick =
     Arg.(value & flag
-         & info [ "quick" ]
-             ~doc:"Smaller grid: 3 seeds instead of 10 (transport, partition), or a \
-                   2-point size grid with 10 power cycles (recovery).  The CI bench \
-                   jobs use this.")
+         & info [ "quick" ] ~doc:"The workload's smaller shape, the one the CI jobs run.")
   in
   let seeds =
     Arg.(value & opt (some (list int)) None
          & info [ "seeds" ] ~docv:"S1,S2,..."
-             ~doc:"Explicit seed list; overrides the quick/full default (transport and \
-                   partition only).")
+             ~doc:"Seeds to run instead of the workload's default; a workload that runs a \
+                   single seed takes exactly one.")
   in
   let out =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
-             ~doc:"Where to write the JSON result (default BENCH_transport.json or \
-                   BENCH_recovery.json; \"-\" prints to stdout only).")
+             ~doc:"Where to write the JSON report (default BENCH_$(i,W).json; \"-\" writes \
+                   no file).")
   in
-  let micro_only =
-    Arg.(value & flag
-         & info [ "micro-only" ]
-             ~doc:"Core bench only: run just the flat-vs-step microbenchmark and its \
-                   >=5x / ALLOC=0 gate, plus the 256-node engine's heap ceiling, \
-                   skipping the sim and checker cells.  The blocking CI \
-                   allocation-gate step uses this.")
-  in
-  let write_json out ~default json =
-    let out = Option.value out ~default in
-    if out <> "-" then begin
-      let oc = open_out out in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "wrote %s\n" out
-    end
-  in
-  let run which quick seeds out micro_only =
-    match which with
-    | `Transport ->
-        let seeds = Option.map (List.map Int64.of_int) seeds in
-        let r = Bench.run ~quick ?seeds () in
-        Format.printf "%a" Bench.pp r;
-        write_json out ~default:"BENCH_transport.json" (Bench.to_json r);
-        (* The bench is not a correctness gate, but a run that left processes
-           blocked or moved more frames with batching on than off is broken
-           enough to fail loudly. *)
-        if r.Bench.off.Bench.unfinished + r.Bench.on_.Bench.unfinished > 0 then exit 1;
-        if r.Bench.frame_reduction < 0.0 then exit 1;
-        exit 0
-    | `Recovery ->
-        let r = Recovery.run ~quick () in
-        Format.printf "%a" Recovery.pp r;
-        write_json out ~default:"BENCH_recovery.json" (Recovery.to_json r);
-        (* Fail loudly if checkpointing did not bound recovery work, or a
-           cell left a process blocked. *)
-        if Recovery.healthy r then exit 0 else exit 1
-    | `Partition ->
-        let seeds = Option.map (List.map Int64.of_int) seeds in
-        let r = Partition.run ~quick ?seeds () in
-        Format.printf "%a" Partition.pp r;
-        write_json out ~default:"BENCH_partition.json" (Partition.to_json r);
-        (* The acceptance gate: every run healthy and the majority side at
-           >= 90% availability inside the window. *)
-        if Partition.healthy r then exit 0 else exit 1
-    | `Shard ->
-        let seed =
-          match seeds with Some (s :: _) -> Int64.of_int s | _ -> 1L
-        in
-        let r = Shard_bench.run ~quick ~seed () in
-        Format.printf "%a" Shard_bench.pp r;
-        write_json out ~default:"BENCH_shard.json" (Shard_bench.to_json r);
-        (* The acceptance gate: partial replication strictly fewer
-           messages everywhere, and cheaper on both metrics at 64 nodes. *)
-        if Shard_bench.healthy r then exit 0 else exit 1
-    | `Objects ->
-        let seed = match seeds with Some (s :: _) -> Int64.of_int s | _ -> 1L in
-        let r = Objects_bench.run ~quick ~seed () in
-        Format.printf "%a" Objects_bench.pp r;
-        write_json out ~default:"BENCH_objects.json" (Objects_bench.to_json r);
-        (* The acceptance gate: every instance spec-legal, converged and
-           healthy. *)
-        if Objects_bench.healthy r then exit 0 else exit 1
-    | `Core when micro_only ->
-        let m = Core_bench.run_micro ~quick () in
-        print_endline (Core_bench.micro_line m);
-        Printf.printf
-          "gate (>=5x, <=0.01 minor and major words/op, engine heap <= 32 MB, engine round <= 1 minor word/op): %s\n"
-          (if Core_bench.micro_healthy m then "PASS" else "FAIL");
-        if Core_bench.micro_healthy m then exit 0 else exit 1
-    | `Core ->
-        let seed = match seeds with Some (s :: _) -> s | _ -> 1 in
-        let r = Core_bench.run ~quick ~seed () in
-        Format.printf "%a" Core_bench.pp r;
-        write_json out ~default:"BENCH_core.json" (Core_bench.to_json r);
-        (* The tentpole gates: >=5x flat-vs-step with ~0 allocs/op,
-           digest-identical runs across 1/2/4 domains, and checked
-           throughput at least half of unchecked. *)
-        if Core_bench.healthy r then exit 0 else exit 1
+  let run (w : Bench.workload) quick seeds out =
+    match Bench.run ?seeds:(Option.map (List.map Int64.of_int) seeds) ~quick w with
+    | exception Invalid_argument msg -> `Error (false, msg)
+    | r ->
+        Format.printf "%a" Report.pp r;
+        let out = Option.value out ~default:("BENCH_" ^ w.name ^ ".json") in
+        if out <> "-" then begin
+          Out_channel.with_open_bin out (fun oc -> output_string oc (Report.to_json r));
+          Printf.printf "wrote %s\n" out
+        end;
+        exit (if Report.healthy r then 0 else 1)
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Performance baselines with JSON artifacts: $(b,transport) measures \
-             throughput, latency percentiles and logical-vs-physical message counts \
-             with frame batching + ack coalescing on vs off (BENCH_transport.json); \
-             $(b,recovery) measures whole-cluster restart replay with vs without \
-             checkpointing (BENCH_recovery.json)")
-    Term.(const run $ which $ quick $ seeds $ out $ micro_only)
+       ~doc:"Run one benchmark workload $(i,W) and write its report, the same schema for \
+             every workload (host, rows of end-to-end and per-layer figures, checks); \
+             exits 1 when a check fails")
+    Term.(ret (const run $ workload $ quick $ seeds $ out))
 
 (* ------------------------------------------------------------------ *)
 (* mc                                                                  *)

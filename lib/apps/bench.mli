@@ -1,54 +1,19 @@
-(** Closed-loop transport benchmark: the chaos-mix workload at its default
-    faults (5% loss, 1% duplication, LAN latency, RPC timeouts), run over a
-    set of seeds twice — once with {!Dsm_net.Reliable.default_config} and
-    once with {!Dsm_net.Reliable.batching_config} — and summarised as
-    machine-readable numbers: throughput (operations per unit of simulated
-    time), latency percentiles over every completed operation, and the
-    logical-vs-physical message split the batching work is about.
+(** The [dsm bench] workloads, as one table, and the run that turns one of
+    them into a {!Report.t}. *)
 
-    The [dsm bench] subcommand wraps {!run} and writes {!to_json} to
-    [BENCH_transport.json] at the repo root, the perf-trajectory artifact
-    CI uploads on every run.  Everything is seed-deterministic, so two
-    machines produce byte-identical JSON. *)
-
-type mode_result = {
-  name : string;  (** ["batching_off"] or ["batching_on"] *)
-  config : Dsm_net.Reliable.config;
-  seeds : int;  (** runs aggregated into this row *)
-  ops : int;  (** completed operations, all runs *)
-  sim_time : float;  (** total simulated time, all runs *)
-  throughput : float;  (** [ops /. sim_time] — ops per unit sim time *)
-  lat_p50 : float;
-  lat_p95 : float;
-  lat_p99 : float;
-  lat_mean : float;
-  lat_max : float;
-  logical_messages : int;  (** protocol payloads (paper accounting) *)
-  physical_frames : int;  (** wire frames incl. acks and retransmissions *)
-  retransmissions : int;
-  explicit_acks : int;  (** explicit ack frames (piggybacks cost nothing) *)
-  rpc_timeouts : int;
-  unfinished : int;  (** processes left blocked — 0 on a healthy bench *)
+type workload = {
+  name : string;  (** the report's [benchmark] and its file, [BENCH_<name>.json] *)
+  doc : string;
+  seed : int64 option;
+      (** [Some s]: the workload runs one seed, [s] by default; [None]: it
+          runs a list, seeds 1–10 by default (1–3 with [quick]) *)
+  run : quick:bool -> seeds:int64 list -> Report.row list * Report.check list;
 }
 
-type result = {
-  seeds : int64 list;
-  quick : bool;
-  off : mode_result;
-  on_ : mode_result;
-  frame_reduction : float;
-      (** [1 - on.physical_frames / off.physical_frames] — the fraction of
-          physical frames batching + ack coalescing removed *)
-}
+val table : workload list
+(** transport, recovery, partition, shard, objects, core and micro. *)
 
-val run : ?quick:bool -> ?seeds:int64 list -> unit -> result
-(** Run the benchmark.  Default seeds: 1–10, or 1–3 with [~quick:true];
-    an explicit [?seeds] overrides both.  The workload itself is
-    {!Workload.default_spec} in both modes — identical logical work, so
-    the frame counts are directly comparable. *)
-
-val to_json : result -> string
-(** Stable, hand-rolled JSON (no dependency), newline-terminated. *)
-
-val pp : Format.formatter -> result -> unit
-(** Human summary: one line per mode plus the reduction headline. *)
+val run : ?seeds:int64 list -> quick:bool -> workload -> Report.t
+(** Run a workload at its default seeds or at [seeds].  [Invalid_argument]
+    on an empty list, or on more than one seed for a single-seed
+    workload. *)

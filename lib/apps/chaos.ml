@@ -84,6 +84,7 @@ type report = {
   ops : int;
   latencies : float list;
   causal_ok : bool;
+  history_checked : bool;
   sim_time : float;
   messages : int;
   logical_messages : int;
@@ -729,6 +730,7 @@ let attach_online ?window bus =
 let build_report ~scenario ~sched ~engine ~crashes ~notes ?online c =
   Causal.shutdown c;
   let history = Causal.history c in
+  let verdict = Harness.causal_verdict history in
   let notes =
     match online with
     | None -> notes
@@ -745,7 +747,8 @@ let build_report ~scenario ~sched ~engine ~crashes ~notes ?online c =
     processes = Causal.processes c;
     ops = History.op_count history;
     latencies = List.map (fun (_, start, stop) -> stop -. start) (Causal.timed_history c);
-    causal_ok = Harness.check_history history;
+    causal_ok = verdict <> Some false;
+    history_checked = verdict <> None;
     stats = Causal.cluster_stats c;
     online_checked = online <> None;
     online_violation =
@@ -839,7 +842,9 @@ let pp_report ppf r =
   let line fmt = Format.fprintf ppf fmt in
   line "scenario:          %s (%d processes)@." r.scenario r.processes;
   line "recorded ops:      %d@." r.ops;
-  line "causally correct:  %b@." r.causal_ok;
+  if r.causal_ok && not r.history_checked then
+    line "causally correct:  skipped (%d ops)@." r.ops
+  else line "causally correct:  %b@." r.causal_ok;
   line "sim time:          %.1f@." r.sim_time;
   line "wire messages:     %d (dropped %d, duplicated %d)@." r.messages r.dropped
     r.duplicated;

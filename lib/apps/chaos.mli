@@ -154,6 +154,10 @@ type report = {
       (** per recorded operation, completion minus issue (sim time), in
           completion order *)
   causal_ok : bool;  (** {!Harness.check_history}'s verdict (and the row's) *)
+  history_checked : bool;
+      (** [false] when the history was too long for the post-hoc check
+          ({!Harness.causal_verdict}); [causal_ok] then holds only the
+          row's verdict *)
   sim_time : float;
   messages : int;  (** physical frames, including acks and retransmissions *)
   logical_messages : int;

@@ -1,72 +1,32 @@
-(* E-CORE: the hot-path benchmark behind the tentpole claims.
+(* The hot-path workloads, all seed-deterministic except for host time.
 
-   Three measurements, all seed-deterministic except for wall-clock time:
-
-   - micro: the flattened owner-write service ({!Dsm_protocol.Flat}) against
-     the boxed {!Dsm_protocol.Protocol.step} on the identical 2-node/1-loc
-     shape, hand-timed over a fixed iteration count, plus the minor- and
-     major-heap words the flat loop allocates (the ALLOC=0 gate), the
-     live heap a fresh 256-node parallel engine holds (the heap ceiling)
-     and the minor words per op a 100k-op round of that engine allocates;
-   - sim: the conservative parallel engine ({!Dsm_sim.Par_engine}) driving a
+   micro:
+   - the flattened owner-write service ({!Dsm_protocol.Flat}) against the
+     boxed {!Dsm_protocol.Protocol.step} on the identical 2-node/1-loc
+     shape, over a fixed iteration count, with the minor- and major-heap
+     words the flat loop allocates (the ALLOC=0 gate);
+   - the live heap a fresh 256-node parallel engine holds (the heap
+     ceiling) and the minor words per op its first 100k ops allocate;
+   - the cost of the other hot paths, one figure each.
+   core:
+   - the conservative parallel engine ({!Dsm_sim.Par_engine}) driving a
      [nodes]-node, [target_ops]-op workload at 1/2/4 domains, with the
-     digest-equality determinism gate, each cell's set-up time and the live
-     heap after its run;
-   - checked: the same workload with the windowed online checker consuming
-     the op stream at the epoch barriers, against the unchecked run. *)
+     digest-equality determinism gate, each cell's set-up time and the
+     live heap after its run;
+   - the same workload with the windowed online checker consuming the op
+     stream at the epoch barriers, against an unchecked run just before
+     it, both on one domain. *)
 
 module Flat = Dsm_protocol.Flat
 module P = Dsm_protocol.Protocol
 module Par = Dsm_sim.Par_engine
+module Engine = Dsm_sim.Engine
 module Online = Dsm_checker.Online
 module Loc = Dsm_memory.Loc
 module Value = Dsm_memory.Value
 module Op = Dsm_memory.Op
 module Wid = Dsm_memory.Wid
-
-type micro = {
-  iters : int;
-  step_ns : float;
-  flat_ns : float;
-  speedup : float;  (** [step_ns /. flat_ns]; the tentpole claims >= 5 *)
-  flat_minor_words_per_op : float;  (** the ALLOC=0 gate: ~0.0 *)
-  flat_major_words_per_op : float;  (** the ALLOC=0 gate: ~0.0 *)
-  engine_heap_mb : float;  (** held by a fresh 256-node engine; the ceiling is 32 *)
-  engine_minor_words_per_op : float;  (** that engine's first 100k ops; the gate is 1 *)
-}
-
-type sim_cell = {
-  domains : int;
-  setup_s : float;
-  wall_s : float;
-  live_heap_mb : float;
-  ops : int;
-  ops_per_s : float;
-  epochs : int;
-  digest : int;
-}
-
-type checked = {
-  window : int;
-  unchecked_ops_per_s : float;
-  checked_ops_per_s : float;
-  ratio : float;  (** checked / unchecked; the gate claims >= 0.5 *)
-  violations : int;
-  checker_ops : int;
-  pending : int;
-  dropped : int;
-}
-
-type result = {
-  quick : bool;
-  seed : int;
-  nodes : int;
-  target_ops : int;
-  micro : micro;
-  sim : sim_cell list;
-  digests_agree : bool;
-  checked : checked;
-}
+module Owner = Dsm_memory.Owner
 
 let now_s () = Unix.gettimeofday ()
 
@@ -79,43 +39,40 @@ let live_heap_mb () =
 let sim_params ~nodes ~seed =
   { (Par.default_params ~nodes) with seed; shards = 16; remote_pct = 30 }
 
-(* A fresh engine at the benchmark's full size: the heap it holds, and
+(* {1 Micro} *)
+
+(* A fresh engine at the core workload's full size: the heap it holds, and
    the minor words per op its first round allocates.  The heap is Flat's
    per-entry arrays plus one small stamp pool per node, about 6 MB; the
    ceiling catches a return to dense stamps: a window for every (node,
    location) pair is 128 MiB at this size.  A round allocates its
    buffers once and then nothing per op; the gate catches a box back on
    that path, such as a boxed PRNG draw (about 20 words per op). *)
-let engine_nodes = 256
-
-let engine_heap_ceiling_mb = 32.0
-
-let engine_ops = 100_000
-
-let engine_minor_words_gate = 1.0
-
-let measure_engine () =
+let engine_row ~seed =
+  let nodes = 256 and target_ops = 100_000 in
   let before = live_heap_mb () in
-  let eng = Par.create (sim_params ~nodes:engine_nodes ~seed:1) in
+  let eng = Par.create (sim_params ~nodes ~seed) in
   let held = live_heap_mb () -. before in
   let w0 = Gc.minor_words () in
-  let stats = Par.run ~domains:1 ~target_ops:engine_ops eng in
-  let words = Gc.minor_words () -. w0 in
-  (held, words /. float_of_int stats.Par.completed)
+  let stats = Par.run ~domains:1 ~target_ops eng in
+  let words = (Gc.minor_words () -. w0) /. float_of_int stats.Par.completed in
+  ( {
+      Report.name = "engine";
+      config = [ ("nodes", Int nodes); ("target_ops", Int target_ops); ("domains", Int 1) ];
+      e2e = Report.e2e ~ops:stats.Par.completed ();
+      layers = [ ("par.heap_mb", Float held); ("par.minor_words_per_op", Float words) ];
+    },
+    [
+      Report.check "par.heap_mb" (Float held) `Le (Float 32.0);
+      Report.check "par.minor_words_per_op" (Float words) `Le (Float 1.0);
+    ] )
 
-(* {1 Micro: flat vs Protocol.step owner write} *)
-
-(* Timed with a monotonic-enough wall clock over a big fixed loop rather
-   than a sampling harness: the loop body is tens of nanoseconds and the
-   quantity gated on is a 5x ratio, not a confidence interval. *)
-let measure_micro ~iters =
+(* Timed with the wall clock over a big fixed loop rather than a sampling
+   harness: the loop body is tens of nanoseconds and the quantity gated on
+   is a 5x ratio, not a confidence interval. *)
+let owner_write_row ~iters =
   let warmup = iters / 10 in
-  (* Protocol.step side: the boxed event/record path. *)
-  let st =
-    P.create
-      ~owner:(Dsm_memory.Owner.by_index ~nodes:2)
-      ~config:Dsm_protocol.Config.default ~now:0.0 ()
-  in
+  let st = P.create ~owner:(Owner.by_index ~nodes:2) ~config:Dsm_protocol.Config.default ~now:0.0 () in
   let loc = Loc.indexed "v" 0 in
   let step_once () =
     ignore (P.step st (P.Owner_write { node = 0; loc; value = Value.Int 1; writer = 0 }))
@@ -129,8 +86,7 @@ let measure_micro ~iters =
   done;
   let step_ns = (now_s () -. t0) *. 1e9 /. float_of_int iters in
   (* Flat side: same shape — 2 nodes, 1 location, node 0 owns it. *)
-  let interner = Loc.Interner.create () in
-  let lid = Loc.Interner.intern interner loc in
+  let lid = Loc.Interner.intern (Loc.Interner.create ()) loc in
   let flat = Flat.create ~nodes:2 ~locs:1 ~owner:[| 0 |] () in
   let flat_once () = Flat.owner_write flat ~node:0 ~loc:lid ~value:1 in
   for _ = 1 to warmup do
@@ -149,21 +105,141 @@ let measure_micro ~iters =
   done;
   let flat_ns = (now_s () -. t0) *. 1e9 /. float_of_int iters in
   let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
-  let engine_heap_mb, engine_minor_words_per_op = measure_engine () in
+  let minor = (minor1 -. minor0) /. float_of_int iters
+  and major = (major1 -. major0) /. float_of_int iters
+  and speedup = step_ns /. flat_ns in
+  ( {
+      Report.name = "owner-write";
+      config = [ ("nodes", Int 2); ("locs", Int 1); ("iters", Int iters) ];
+      e2e = Report.e2e ~ops:iters ();
+      layers =
+        [
+          ("protocol.step_owner_write_ns", Float step_ns);
+          ("flat.owner_write_ns", Float flat_ns);
+          ("flat.speedup", Float speedup);
+          ("flat.minor_words_per_op", Float minor);
+          ("flat.major_words_per_op", Float major);
+        ];
+    },
+    [
+      Report.check "flat.speedup" (Float speedup) `Ge (Float 5.0);
+      Report.check "flat.minor_words_per_op" (Float minor) `Le (Float 0.01);
+      Report.check "flat.major_words_per_op" (Float major) `Le (Float 0.01);
+    ] )
+
+(* ns per call of [f], over doubling batches until one takes [budget]
+   seconds. *)
+let time_ns ~budget f =
+  f ();
+  let rec go n =
+    let t0 = now_s () in
+    for _ = 1 to n do
+      f ()
+    done;
+    let dt = now_s () -. t0 in
+    if dt >= budget then dt *. 1e9 /. float_of_int n else go (2 * n)
+  in
+  go 1
+
+let hot_paths_row ~budget =
+  let a = Vclock.of_array (Array.init 16 (fun i -> i * 3 mod 7)) in
+  let b = Vclock.of_array (Array.init 16 (fun i -> (i * 5) + (2 mod 9))) in
+  let queue () =
+    let e = Engine.create () in
+    for i = 63 downto 0 do
+      Engine.schedule_at e (float_of_int i) ignore
+    done;
+    for _ = 0 to 63 do
+      ignore (Engine.step e)
+    done
+  in
+  let closure () =
+    let r = Dsm_util.Bitrel.create 80 in
+    for i = 0 to 78 do
+      Dsm_util.Bitrel.add r i (i + 1);
+      if i + 5 < 80 then Dsm_util.Bitrel.add r i (i + 5)
+    done;
+    Dsm_util.Bitrel.transitive_closure r
+  in
+  (* A remote write and a read back on a 2-node cluster, shell included. *)
+  let round_trip () =
+    let engine = Engine.create () in
+    let sched = Dsm_runtime.Proc.scheduler engine in
+    let cluster =
+      Dsm_causal.Cluster.create ~sched ~owner:(Owner.by_index ~nodes:2)
+        ~latency:(Dsm_net.Latency.Constant 1.0) ()
+    in
+    let loc = Loc.indexed "v" 1 in
+    ignore
+      (Dsm_runtime.Proc.spawn sched (fun () ->
+           let h = Dsm_causal.Cluster.handle cluster 0 in
+           Dsm_causal.Cluster.write h loc (Value.Int 1);
+           ignore (Dsm_causal.Cluster.read h loc)));
+    Engine.run engine
+  in
+  (* A no-op heartbeat tick through the pure core: the event/action
+     indirection the effect shell pays on every message. *)
+  let hb_tick =
+    let st =
+      P.create ~owner:(Owner.by_index ~nodes:4) ~config:Dsm_protocol.Config.default
+        ~detector:{ Dsm_protocol.Detector.period = 5.0; suspect_after = 3 }
+        ~now:0.0 ()
+    in
+    let now = ref 0.0 in
+    fun () ->
+      now := !now +. 0.001;
+      ignore (P.step st (P.Hb_tick { node = 0; now = !now }))
+  in
+  (* One remote-write round trip on the flat path: the writer stamps with
+     its own clock row, the owner certifies (merge, policy, invalidation
+     pass), the writer adopts the certified entry. *)
+  let remote_write_cycle =
+    let st = Flat.create ~nodes:4 ~locs:8 ~owner:(Array.init 8 (fun l -> l mod 4)) () in
+    let clock = Flat.clock_arena st in
+    let i = ref 0 in
+    fun () ->
+      incr i;
+      let l = !i land 7 in
+      let o = Flat.owner_of st l in
+      let w = (o + 1) land 3 in
+      Vclock.Flat.bump clock ~off:(Flat.clock_off st w) w;
+      Flat.certify st ~node:o ~loc:l ~value:!i ~wid_node:w ~wid_seq:!i ~stamp:clock
+        ~stamp_off:(Flat.clock_off st w);
+      Flat.adopt_write_reply st ~node:w ~loc:l ~value:(Flat.last_value st ~node:o)
+        ~wid_node:(Flat.last_wid_node st ~node:o) ~wid_seq:(Flat.last_wid_seq st ~node:o)
+        ~stamp:(Flat.stamp_arena st ~node:o) ~stamp_off:(Flat.entry_off st ~node:o ~loc:l)
+  in
+  let keep x = ignore (Sys.opaque_identity x) in
+  let cases =
+    [
+      ("vclock.update_ns", fun () -> keep (Vclock.update a b));
+      ("vclock.compare_ns", fun () -> keep (Vclock.compare_vt a b));
+      ("vclock.increment_ns", fun () -> keep (Vclock.increment a 3));
+      ("engine.schedule_step_x64_ns", queue);
+      ("bitrel.closure_80_ns", closure);
+      ("checker.causal_fig2_ns", fun () -> keep (Dsm_checker.Causal_check.is_correct Dsm_checker.Histories.fig2));
+      ("checker.sc_fig5_ns", fun () -> keep (Dsm_checker.Consistency.is_sc Dsm_checker.Histories.fig5));
+      ("cluster.write_read_remote_ns", round_trip);
+      ("protocol.step_hb_tick_ns", hb_tick);
+      ("flat.remote_write_cycle_ns", remote_write_cycle);
+    ]
+  in
   {
-    iters;
-    step_ns;
-    flat_ns;
-    speedup = step_ns /. flat_ns;
-    flat_minor_words_per_op = (minor1 -. minor0) /. float_of_int iters;
-    flat_major_words_per_op = (major1 -. major0) /. float_of_int iters;
-    engine_heap_mb;
-    engine_minor_words_per_op;
+    Report.name = "hot-paths";
+    config = [ ("budget_s", Float budget) ];
+    e2e = Report.e2e ();
+    layers = List.map (fun (key, f) -> (key, Report.Float (time_ns ~budget f))) cases;
   }
 
-(* {1 Sim: the parallel engine at 1/2/4 domains} *)
+let micro ~quick ~seed =
+  let owner_write, owner_checks = owner_write_row ~iters:(if quick then 400_000 else 2_000_000) in
+  let engine, engine_checks = engine_row ~seed:(Int64.to_int seed) in
+  let hot_paths = hot_paths_row ~budget:(if quick then 0.02 else 0.1) in
+  ([ owner_write; engine; hot_paths ], owner_checks @ engine_checks)
 
-let measure_sim ~nodes ~seed ~target_ops ~domains =
+(* {1 Core} *)
+
+let sim_row ~name ~nodes ~seed ~target_ops ~domains =
   let t0 = now_s () in
   let eng = Par.create (sim_params ~nodes ~seed) in
   let setup_s = now_s () -. t0 in
@@ -172,24 +248,23 @@ let measure_sim ~nodes ~seed ~target_ops ~domains =
   let wall_s = now_s () -. t0 in
   let live_heap_mb = live_heap_mb () in
   ignore (Sys.opaque_identity eng);
-  {
-    domains;
-    setup_s;
-    wall_s;
-    live_heap_mb;
-    ops = stats.Par.completed;
-    ops_per_s = float_of_int stats.Par.completed /. wall_s;
-    epochs = stats.Par.epochs;
-    digest = stats.Par.digest;
-  }
+  let ops_per_s = float_of_int stats.Par.completed /. wall_s in
+  ( {
+      Report.name;
+      config = [ ("nodes", Int nodes); ("target_ops", Int target_ops); ("domains", Int domains) ];
+      e2e = Report.e2e ~ops:stats.Par.completed ~ops_per_s ();
+      layers =
+        [
+          ("par.epochs", Int stats.Par.epochs);
+          ("par.digest", Int stats.Par.digest);
+          ("par.setup_s", Float setup_s);
+          ("par.wall_s", Float wall_s);
+          ("gc.live_heap_mb", Float live_heap_mb);
+        ];
+    },
+    (stats.Par.completed, stats.Par.digest, ops_per_s) )
 
-(* {1 Checked: windowed online checker riding the op stream} *)
-
-let measure_checked ~nodes ~seed ~target_ops ~domains ~window =
-  (* A fresh unchecked run immediately beforehand: the checked/unchecked
-     ratio compares adjacent measurements under identical conditions, not a
-     sim cell timed earlier. *)
-  let unchecked = measure_sim ~nodes ~seed ~target_ops ~domains in
+let checked_row ~nodes ~seed ~target_ops ~window =
   let params = sim_params ~nodes ~seed in
   let eng = Par.create params in
   let ck = Online.create ~window () in
@@ -200,7 +275,7 @@ let measure_checked ~nodes ~seed ~target_ops ~domains ~window =
   let violations = ref 0 in
   let t0 = now_s () in
   let stats =
-    Par.run ~domains ~target_ops
+    Par.run ~domains:1 ~target_ops
       ~on_ops:(fun ~node ~buf ~len ->
         for o = 0 to (len / Par.log_stride) - 1 do
           let b = o * Par.log_stride in
@@ -221,124 +296,52 @@ let measure_checked ~nodes ~seed ~target_ops ~domains ~window =
         done)
       eng
   in
-  let wall_s = now_s () -. t0 in
-  let checked_ops_per_s = float_of_int stats.Par.completed /. wall_s in
-  {
-    window;
-    unchecked_ops_per_s = unchecked.ops_per_s;
-    checked_ops_per_s;
-    ratio = checked_ops_per_s /. unchecked.ops_per_s;
-    violations = !violations;
-    checker_ops = Online.ops_seen ck;
-    pending = Online.pending_reads ck;
-    dropped = Online.dropped_reads ck;
-  }
+  let ops_per_s = float_of_int stats.Par.completed /. (now_s () -. t0) in
+  ( {
+      Report.name = "checked";
+      config =
+        [
+          ("nodes", Int nodes); ("target_ops", Int target_ops); ("domains", Int 1); ("window", Int window);
+        ];
+      e2e = Report.e2e ~ops:stats.Par.completed ~ops_per_s ();
+      layers =
+        [
+          ("online.ops", Int (Online.ops_seen ck));
+          ("online.violations", Int !violations);
+          ("online.pending", Int (Online.pending_reads ck));
+          ("online.dropped", Int (Online.dropped_reads ck));
+        ];
+    },
+    (ops_per_s, !violations, Online.pending_reads ck) )
 
-let run ?(quick = false) ?(seed = 1) () =
+let core ~quick ~seed =
+  let seed = Int64.to_int seed in
   let nodes = if quick then 64 else 256 in
   let target_ops = if quick then 100_000 else 1_000_000 in
-  let iters = if quick then 400_000 else 2_000_000 in
-  let micro = measure_micro ~iters in
   let sim =
-    List.map (fun domains -> measure_sim ~nodes ~seed ~target_ops ~domains) [ 1; 2; 4 ]
+    List.map
+      (fun domains ->
+        sim_row ~name:(Printf.sprintf "sim-d%d" domains) ~nodes ~seed ~target_ops ~domains)
+      [ 1; 2; 4 ]
   in
-  let digests_agree =
-    match sim with
-    | [] -> false
-    | c :: rest -> List.for_all (fun c' -> c'.digest = c.digest && c'.ops = c.ops) rest
+  let outcomes = List.map (fun (_, (ops, digest, _)) -> (ops, digest)) sim in
+  (* A fresh unchecked run just before the checked one, on the same single
+     domain: the ratio compares adjacent measurements under identical
+     conditions, and no domain competes with another for a core. *)
+  let unchecked, (_, _, unchecked_ops_per_s) =
+    sim_row ~name:"unchecked" ~nodes ~seed ~target_ops ~domains:1
   in
-  let best = List.fold_left (fun a c -> if c.ops_per_s > a.ops_per_s then c else a) (List.hd sim) sim in
-  let checked = measure_checked ~nodes ~seed ~target_ops ~domains:best.domains ~window:64 in
-  { quick; seed; nodes; target_ops; micro; sim; digests_agree; checked }
-
-let run_micro ?(quick = false) () =
-  measure_micro ~iters:(if quick then 400_000 else 2_000_000)
-
-let micro_healthy m =
-  m.speedup >= 5.0
-  && m.flat_minor_words_per_op <= 0.01
-  && m.flat_major_words_per_op <= 0.01
-  && m.engine_heap_mb <= engine_heap_ceiling_mb
-  && m.engine_minor_words_per_op <= engine_minor_words_gate
-
-let healthy r =
-  micro_healthy r.micro
-  && r.digests_agree
-  && List.for_all (fun c -> c.ops >= r.target_ops) r.sim
-  && r.checked.ratio >= 0.5
-  && r.checked.violations = 0
-  && r.checked.pending = 0
-
-let micro_line m =
-  Printf.sprintf
-    "micro: step %.1f ns/op, flat %.1f ns/op — %.1fx (%.4f minor, %.4f major words/op); %d-node engine holds %.1f MB, its first %dk ops allocate %.3f minor words/op"
-    m.step_ns m.flat_ns m.speedup m.flat_minor_words_per_op m.flat_major_words_per_op engine_nodes
-    m.engine_heap_mb (engine_ops / 1000) m.engine_minor_words_per_op
-
-let json_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
-
-let to_json r =
-  let b = Buffer.create 1024 in
-  let field fmt = Printf.bprintf b fmt in
-  field "{\n";
-  field "  \"benchmark\": \"core\",\n";
-  field "  \"quick\": %b,\n" r.quick;
-  field "  \"seed\": %d,\n" r.seed;
-  field "  \"nodes\": %d,\n" r.nodes;
-  field "  \"target_ops\": %d,\n" r.target_ops;
-  field "  \"micro\": {\n";
-  field "    \"iters\": %d,\n" r.micro.iters;
-  field "    \"step_ns\": %s,\n" (json_float r.micro.step_ns);
-  field "    \"flat_ns\": %s,\n" (json_float r.micro.flat_ns);
-  field "    \"speedup\": %s,\n" (json_float r.micro.speedup);
-  field "    \"flat_minor_words_per_op\": %s,\n" (json_float r.micro.flat_minor_words_per_op);
-  field "    \"flat_major_words_per_op\": %s,\n" (json_float r.micro.flat_major_words_per_op);
-  field "    \"engine_heap_mb\": %s,\n" (json_float r.micro.engine_heap_mb);
-  field "    \"engine_minor_words_per_op\": %s\n" (json_float r.micro.engine_minor_words_per_op);
-  field "  },\n";
-  field "  \"sim\": [\n";
-  List.iteri
-    (fun i c ->
-      if i > 0 then field ",\n";
-      field
-        "    { \"domains\": %d, \"setup_s\": %s, \"wall_s\": %s, \"live_heap_mb\": %s, \"ops\": %d, \"ops_per_s\": %s, \"epochs\": %d, \"digest\": %d }"
-        c.domains (json_float c.setup_s) (json_float c.wall_s) (json_float c.live_heap_mb) c.ops
-        (json_float c.ops_per_s) c.epochs c.digest)
-    r.sim;
-  field "\n  ],\n";
-  field "  \"digests_agree\": %b,\n" r.digests_agree;
-  field "  \"checked\": {\n";
-  field "    \"window\": %d,\n" r.checked.window;
-  field "    \"unchecked_ops_per_s\": %s,\n" (json_float r.checked.unchecked_ops_per_s);
-  field "    \"checked_ops_per_s\": %s,\n" (json_float r.checked.checked_ops_per_s);
-  field "    \"ratio\": %s,\n" (json_float r.checked.ratio);
-  field "    \"violations\": %d,\n" r.checked.violations;
-  field "    \"checker_ops\": %d,\n" r.checked.checker_ops;
-  field "    \"pending\": %d,\n" r.checked.pending;
-  field "    \"dropped\": %d\n" r.checked.dropped;
-  field "  },\n";
-  field "  \"healthy\": %b\n" (healthy r);
-  field "}\n";
-  Buffer.contents b
-
-let pp ppf r =
-  Format.fprintf ppf "core bench: %d nodes, %d ops%s@." r.nodes r.target_ops
-    (if r.quick then " (quick)" else "");
-  Format.fprintf ppf "  %s@." (micro_line r.micro);
-  List.iter
-    (fun c ->
-      Format.fprintf ppf
-        "  sim %d domain%s: %.2f s, %.0f ops/s, %d epochs, digest %x, set-up %.4f s, live heap %.1f MB@."
-        c.domains (if c.domains = 1 then " " else "s") c.wall_s c.ops_per_s c.epochs c.digest
-        c.setup_s c.live_heap_mb)
-    r.sim;
-  Format.fprintf ppf "  digests agree across domain counts: %b@." r.digests_agree;
-  Format.fprintf ppf
-    "  checked (window %d): %.0f ops/s vs %.0f unchecked — ratio %.2f, %d violations, %d pending@."
-    r.checked.window r.checked.checked_ops_per_s r.checked.unchecked_ops_per_s r.checked.ratio
-    r.checked.violations r.checked.pending;
-  Format.fprintf ppf
-    "  gate (>=5x micro, 0 allocs, engine heap <= 32 MB, digests agree, ratio >= 0.5): %s@."
-    (if healthy r then "PASS" else "FAIL")
+  let checked, (checked_ops_per_s, violations, pending) =
+    checked_row ~nodes ~seed ~target_ops ~window:64
+  in
+  ( List.map fst sim @ [ unchecked; checked ],
+    [
+      Report.check "digests_agree"
+        (Bool (List.for_all (( = ) (List.hd outcomes)) outcomes))
+        `Eq (Bool true);
+      Report.check "sim.ops" (Int (List.fold_left (fun m (ops, _) -> min m ops) max_int outcomes))
+        `Ge (Int target_ops);
+      Report.check "checked.ratio" (Float (checked_ops_per_s /. unchecked_ops_per_s)) `Ge (Float 0.5);
+      Report.check "checked.violations" (Int violations) `Eq (Int 0);
+      Report.check "checked.pending" (Int pending) `Eq (Int 0);
+    ] )

@@ -7,9 +7,12 @@
     with different iteration counts (cold-start costs cancel), which is how
     the E-MSG table approximates the paper's per-iteration analysis. *)
 
+val causal_verdict : Dsm_memory.History.t -> bool option
+(** The causal checker's verdict on a recorded history, or [None] for a
+    history over 6,000 ops: checking is quadratic, so those go unchecked. *)
+
 val check_history : Dsm_memory.History.t -> bool
-(** The causal checker's verdict on a recorded history.  Checking is
-    quadratic, so a history over 6,000 ops is assumed correct. *)
+(** {!causal_verdict}, with an unchecked history taken as correct. *)
 
 type solver_result = {
   workers : int;

@@ -20,27 +20,7 @@ module Shard = Dsm_memory.Shard
 module Value = Dsm_memory.Value
 module Prng = Dsm_util.Prng
 
-type cell = {
-  mode : string;  (** ["full"] or ["partial"] *)
-  ops : int;
-  logical_messages : int;
-  wire_bytes : int;
-  messages_per_op : float;
-  bytes_per_op : float;
-  causal_ok : bool;
-  unfinished : int;
-}
-
-type size_result = {
-  nodes : int;
-  shards : int;
-  full : cell;
-  partial : cell;
-  message_reduction : float;  (** [1 - partial/full], logical messages *)
-  byte_reduction : float;  (** [1 - partial/full], wire metadata bytes *)
-}
-
-type result = { quick : bool; seed : int64; sizes : size_result list }
+type cell = { logical : int; bytes : int; causal : bool; unfinished : int }
 
 (* Zipf(s=1.2) rank sampler over [m] ranks by inverse CDF: rank 0 is the
    hot location of the pool. *)
@@ -103,104 +83,61 @@ let run_cell ~nodes ~shards ~seed ~ops_per_client ~partial =
   done;
   Engine.run engine;
   let unfinished = List.length (Proc.failures sched) in
-  let ops = nodes * ops_per_client in
   let logical = Causal.logical_messages c in
   let bytes = (Causal.wire_counters c).Network.bytes in
   let history = Causal.history c in
   Causal.shutdown c;
-  {
-    mode = (if partial then "partial" else "full");
-    ops;
-    logical_messages = logical;
-    wire_bytes = bytes;
-    messages_per_op = float_of_int logical /. float_of_int ops;
-    bytes_per_op = float_of_int bytes /. float_of_int ops;
-    causal_ok = Harness.check_history history;
-    unfinished;
-  }
+  (* A history too long for the post-hoc check fails it. *)
+  { logical; bytes; causal = Harness.causal_verdict history = Some true; unfinished }
 
+(* Partial replication must send strictly fewer logical messages than full
+   at every size, and at 64 nodes beat it on both messages and bytes per
+   op. *)
 let run_size ~nodes ~seed ~ops_per_client =
   let shards = nodes / 8 in
+  let ops = nodes * ops_per_client in
   let full = run_cell ~nodes ~shards ~seed ~ops_per_client ~partial:false in
   let partial = run_cell ~nodes ~shards ~seed ~ops_per_client ~partial:true in
-  let reduction f p =
-    if f = 0 then Float.nan else 1.0 -. (float_of_int p /. float_of_int f)
+  let per n = float_of_int n /. float_of_int ops in
+  let reduction f p = if f = 0 then Float.nan else 1.0 -. (float_of_int p /. float_of_int f) in
+  let name = Printf.sprintf "n%d.%s" nodes in
+  let row mode c layers =
+    {
+      Report.name = name mode;
+      config = [ ("nodes", Int nodes); ("shards", Int shards) ];
+      e2e = Report.e2e ~ops ~msgs_per_op:(per c.logical) ~bytes_per_op:(per c.bytes) ();
+      layers =
+        [
+          ("cluster.logical_messages", Report.Int c.logical);
+          ("network.wire_bytes", Int c.bytes);
+          ("proc.unfinished", Int c.unfinished);
+        ]
+        @ layers;
+    }
   in
-  {
-    nodes;
-    shards;
-    full;
-    partial;
-    message_reduction = reduction full.logical_messages partial.logical_messages;
-    byte_reduction = reduction full.wire_bytes partial.wire_bytes;
-  }
+  let cheaper metric f = Report.check (name metric) (Float (f partial)) `Lt (Float (f full)) in
+  ( [
+      row "full" full [];
+      row "partial" partial
+        [
+          ("shard.message_reduction", Float (reduction full.logical partial.logical));
+          ("shard.byte_reduction", Float (reduction full.bytes partial.bytes));
+        ];
+    ],
+    [
+      Report.check (name "full.causal_ok") (Bool full.causal) `Eq (Bool true);
+      Report.check (name "partial.causal_ok") (Bool partial.causal) `Eq (Bool true);
+      Report.check (name "unfinished") (Int (full.unfinished + partial.unfinished)) `Eq (Int 0);
+      Report.check (name "logical_messages") (Int partial.logical) `Lt (Int full.logical);
+    ]
+    @
+    if nodes < 64 then []
+    else
+      [ cheaper "msgs_per_op" (fun c -> per c.logical); cheaper "bytes_per_op" (fun c -> per c.bytes) ]
+  )
 
-let run ?(quick = false) ?(seed = 1L) () =
+let run ~quick ~seed =
   let sizes = if quick then [ 16; 64 ] else [ 16; 32; 64 ] in
   let ops_per_client = if quick then 8 else 24 in
-  { quick; seed; sizes = List.map (fun nodes -> run_size ~nodes ~seed ~ops_per_client) sizes }
-
-(* The acceptance gate: every cell clean, partial strictly cheaper in
-   messages at every size on the skewed mix, and at 64 nodes partial must
-   beat full on {e both} metrics. *)
-let healthy r =
-  let clean c = c.causal_ok && c.unfinished = 0 in
-  List.for_all
-    (fun s ->
-      clean s.full && clean s.partial
-      && s.partial.logical_messages < s.full.logical_messages
-      && (s.nodes < 64
-         || (s.partial.messages_per_op < s.full.messages_per_op
-            && s.partial.bytes_per_op < s.full.bytes_per_op)))
-    r.sizes
-  && List.exists (fun s -> s.nodes = 64) r.sizes
-
-let json_float f = if Float.is_nan f then "null" else Printf.sprintf "%.6f" f
-
-let json_cell b c =
-  Printf.bprintf b
-    "{ \"mode\": %S, \"ops\": %d, \"logical_messages\": %d, \"wire_bytes\": %d, \
-     \"messages_per_op\": %s, \"bytes_per_op\": %s, \"causal_ok\": %b, \"unfinished\": %d }"
-    c.mode c.ops c.logical_messages c.wire_bytes
-    (json_float c.messages_per_op)
-    (json_float c.bytes_per_op) c.causal_ok c.unfinished
-
-let to_json r =
-  let b = Buffer.create 1024 in
-  let field fmt = Printf.bprintf b fmt in
-  field "{\n";
-  field "  \"benchmark\": \"shard\",\n";
-  field "  \"quick\": %b,\n" r.quick;
-  field "  \"seed\": %Ld,\n" r.seed;
-  field "  \"sizes\": [\n";
-  List.iteri
-    (fun i s ->
-      if i > 0 then field ",\n";
-      field "    {\n";
-      field "      \"nodes\": %d,\n" s.nodes;
-      field "      \"shards\": %d,\n" s.shards;
-      field "      \"full\": ";
-      json_cell b s.full;
-      field ",\n      \"partial\": ";
-      json_cell b s.partial;
-      field ",\n      \"message_reduction\": %s,\n" (json_float s.message_reduction);
-      field "      \"byte_reduction\": %s\n" (json_float s.byte_reduction);
-      field "    }")
-    r.sizes;
-  field "\n  ]\n";
-  field "}\n";
-  Buffer.contents b
-
-let pp ppf r =
-  Format.fprintf ppf "shard bench: seed %Ld%s@." r.seed (if r.quick then " (quick)" else "");
-  List.iter
-    (fun s ->
-      Format.fprintf ppf
-        "  %2d nodes / %d shards: msgs/op %6.2f -> %6.2f (-%2.0f%%)  bytes/op %8.1f -> %8.1f (-%2.0f%%)@."
-        s.nodes s.shards s.full.messages_per_op s.partial.messages_per_op
-        (100.0 *. s.message_reduction)
-        s.full.bytes_per_op s.partial.bytes_per_op
-        (100.0 *. s.byte_reduction))
-    r.sizes;
-  Format.fprintf ppf "  gate (partial < full everywhere, both metrics at 64): %s@."
-    (if healthy r then "PASS" else "FAIL")
+  let rows, checks = List.split (List.map (fun nodes -> run_size ~nodes ~seed ~ops_per_client) sizes) in
+  (List.concat rows, List.concat checks)

@@ -246,6 +246,22 @@ let test_shard_seeds_healthy () =
    regenerated file is written to the test's working directory (under
    _build) and the first differing row is named: a deliberate update is one
    copy. *)
+(* Past the 6,000-op cap the post-hoc causal check does not run, and the
+   report says so instead of claiming the history causal.  This run also
+   trips the online checker, so "true" there was wrong as well as unproven. *)
+let test_long_history_reported_skipped () =
+  let knobs =
+    {
+      (knobs ~drop:0.1 ()) with
+      Chaos.detector = Some { Dsm_causal.Detector.period = 3.0; suspect_after = 2 };
+    }
+  in
+  let r = Chaos.run ~knobs ~seed:1L "solver" in
+  Alcotest.(check int) "recorded ops" 6290 r.Chaos.ops;
+  let text = Format.asprintf "%a" Chaos.pp_report r in
+  Alcotest.(check bool) "report says skipped" true
+    (Str_contains.contains text "causally correct:  skipped (6290 ops)")
+
 let matrix_seeds = [ 1; 2; 3; 4; 5; 7; 8; 9; 11; 16 ]
 
 let matrix_line scenario seed =
@@ -321,4 +337,6 @@ let suite =
     Alcotest.test_case "cluster stats consistent" `Quick test_cluster_stats_consistent;
     Alcotest.test_case "shard seeds 1-20 healthy" `Quick test_shard_seeds_healthy;
     Alcotest.test_case "chaos matrix pinned" `Quick test_chaos_matrix_pinned;
+    Alcotest.test_case "long history reported skipped" `Quick
+      test_long_history_reported_skipped;
   ]

@@ -11,7 +11,8 @@ module Owner = Dsm_memory.Owner
 module Loc = Dsm_memory.Loc
 module Value = Dsm_memory.Value
 module Chaos = Dsm_apps.Chaos
-module Recovery_bench = Dsm_apps.Recovery_bench
+module Bench = Dsm_apps.Bench
+module Report = Dsm_apps.Report
 
 let v i = Loc.indexed "v" i
 
@@ -198,24 +199,23 @@ let test_power_failure_chaos_healthy () =
 
 (* The recovery bench's machine-readable claim, at the quick grid. *)
 let test_recovery_bench_quick () =
-  let r = Recovery_bench.run ~quick:true () in
-  Alcotest.(check bool) "bench healthy" true (Recovery_bench.healthy r);
+  let w = List.find (fun (w : Bench.workload) -> w.name = "recovery") Bench.table in
+  let r = Bench.run ~quick:true w in
+  Alcotest.(check bool) "bench healthy" true (Report.healthy r);
   List.iter
-    (fun (c : Recovery_bench.case) ->
-      if c.Recovery_bench.mode = "uncheckpointed" then
-        Alcotest.(check bool) "uncheckpointed replays the full log" true
-          (c.Recovery_bench.replayed_per_recovery
-          >= float_of_int c.Recovery_bench.ops_per_node))
-    r.Recovery_bench.cases;
+    (fun (row : Report.row) ->
+      if String.starts_with ~prefix:"uncheckpointed" row.name then
+        match
+          (List.assoc "cluster.replayed_per_recovery" row.layers, List.assoc "ops_per_node" row.config)
+        with
+        | Report.Float replayed, Report.Int ops ->
+            Alcotest.(check bool) "uncheckpointed replays the full log" true
+              (replayed >= float_of_int ops)
+        | _ -> Alcotest.fail "replay figures missing")
+    r.rows;
   (* The artifact names its benchmark. *)
-  let json = Recovery_bench.to_json r in
-  let contains needle hay =
-    let nl = String.length needle and hl = String.length hay in
-    let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "json names the benchmark" true
-    (contains "\"benchmark\": \"recovery\"" json)
+    (Str_contains.contains (Report.to_json r) "\"benchmark\": \"recovery\"")
 
 let suite =
   [
