@@ -496,6 +496,170 @@ let test_first_violation_is_oldest () =
       Alcotest.(check int) "oldest is pid 4's read" 4 first.Online.v_op.Op.pid
   | _ -> Alcotest.fail "expected two violations"
 
+(* {2 Pinned windowed behaviour}
+
+   Every counter and the ordered violation list of the windowed checker,
+   pinned on two inputs that compact many times: a Par_engine op stream and
+   a seeded corpus of small random histories.  The figures were taken from
+   the checker that rebuilt its survivors at each compaction; a checker that
+   retires ops another way must reproduce them op for op. *)
+
+(* One line per run: the counters, the violation count and an MD5 of the
+   violating ops in the order they were reported. *)
+let summary ~checks ~edges ~retired ~dropped ~pending ~rechecks ~live vs =
+  Printf.sprintf
+    "checks=%d edges=%d retired=%d dropped=%d pending=%d rechecks=%d live=%d violations=%d md5=%s"
+    checks edges retired dropped pending rechecks live (List.length vs)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ";"
+             (List.map (fun (o : Op.t) -> Op.to_string o ^ "@" ^ string_of_int o.Op.index) vs))))
+
+let summarize ck =
+  summary ~checks:(Online.checks ck) ~edges:(Online.edges ck) ~retired:(Online.retired_ops ck)
+    ~dropped:(Online.dropped_reads ck) ~pending:(Online.pending_reads ck)
+    ~rechecks:(Online.pending_rechecks ck) ~live:(Online.live_ops ck) (violation_ops ck)
+
+(* A 32-node Par_engine run's ops, in the order its barriers hand them
+   over. *)
+let par_stream ~target_ops =
+  let module Par = Dsm_sim.Par_engine in
+  let params = { (Par.default_params ~nodes:32) with seed = 1; shards = 16; remote_pct = 30 } in
+  let locs = Array.init params.Par.locs (Loc.indexed "x") in
+  let indices = Array.make params.Par.nodes 0 in
+  let ops = ref [] in
+  ignore
+    (Par.run ~domains:1 ~target_ops
+       ~on_ops:(fun ~node ~buf ~len ->
+         for o = 0 to (len / Par.log_stride) - 1 do
+           let b = o * Par.log_stride in
+           let loc = locs.(buf.(b + 1)) and value = Value.Int buf.(b + 2) in
+           let wn = buf.(b + 3) and ws = buf.(b + 4) in
+           let index = indices.(node) in
+           indices.(node) <- index + 1;
+           ops :=
+             (if buf.(b) = 0 then
+                Op.read ~pid:node ~index ~loc ~value
+                  ~from:(if wn < 0 then Wid.initial else Wid.make ~node:wn ~seq:ws)
+              else Op.write ~pid:node ~index ~loc ~value ~wid:(Wid.make ~node:wn ~seq:ws))
+             :: !ops
+         done)
+       (Par.create params));
+  List.rev !ops
+
+let test_pinned_par_stream () =
+  let stream = par_stream ~target_ops:20_000 in
+  Alcotest.(check int) "stream length" 20_038 (List.length stream);
+  List.iter
+    (fun (window, expected) ->
+      let ck = Online.create ~window () in
+      List.iter (fun op -> ignore (Online.add_op ck op)) stream;
+      Alcotest.(check string) (Printf.sprintf "window %d" window) expected (summarize ck))
+    [
+      (8, 
+        "checks=2954 edges=12932 retired=20008 dropped=8912 pending=0 rechecks=0 live=30 violations=0 md5=d41d8cd98f00b204e9800998ecf8427e");
+      (64, 
+        "checks=10571 edges=22836 retired=19948 dropped=1404 pending=0 rechecks=0 live=90 violations=0 md5=d41d8cd98f00b204e9800998ecf8427e");
+    ]
+
+(* Four processes, three locations, 6-14 ops each.  A read names the
+   initial value, a write that never arrives, or any write of its location,
+   wherever that write sits: an older one (a stale read), one not yet
+   delivered (a deferred reads-from), or one later in the reader's own
+   program (a causal cycle).  Delivery is a random interleaving that keeps
+   each program's order. *)
+let random_history rng =
+  let module Prng = Dsm_util.Prng in
+  let pids = 4 and locs = 3 in
+  let seq = ref 0 in
+  let shape =
+    Array.init pids (fun pid ->
+        Array.init (Prng.int_in rng 6 14) (fun _ ->
+            let l = Prng.int rng locs in
+            if Prng.int rng 5 < 2 then begin
+              incr seq;
+              (l, Some (Wid.make ~node:pid ~seq:!seq))
+            end
+            else (l, None)))
+  in
+  let writes_on l =
+    Array.of_list
+      (List.concat_map
+         (fun row ->
+           List.filter_map
+             (function l', Some w when l' = l -> Some w | _ -> None)
+             (Array.to_list row))
+         (Array.to_list shape))
+  in
+  let writes = Array.init locs writes_on in
+  let rows =
+    Array.mapi
+      (fun pid row ->
+        Array.mapi
+          (fun index (l, w) ->
+            let loc = Loc.indexed "w" l in
+            match w with
+            | Some wid -> Op.write ~pid ~index ~loc ~value:(Value.Int wid.Wid.seq) ~wid
+            | None -> (
+                let ws = writes.(l) in
+                match Prng.int rng 8 with
+                | 0 -> Op.read ~pid ~index ~loc ~value:Value.initial ~from:Wid.initial
+                | 1 ->
+                    (* A write of a process that never delivers one. *)
+                    Op.read ~pid ~index ~loc ~value:(Value.Int 0)
+                      ~from:(Wid.make ~node:pids ~seq:(Prng.int rng 4))
+                | _ when Array.length ws = 0 ->
+                    Op.read ~pid ~index ~loc ~value:Value.initial ~from:Wid.initial
+                | _ ->
+                    let from = Prng.pick rng ws in
+                    Op.read ~pid ~index ~loc ~value:(Value.Int from.Wid.seq) ~from))
+          row)
+      shape
+  in
+  let cursors = Array.make pids 0 in
+  let total = Array.fold_left (fun a r -> a + Array.length r) 0 rows in
+  List.init total (fun _ ->
+      let open_pids = List.filter (fun p -> cursors.(p) < Array.length rows.(p)) (List.init pids Fun.id) in
+      let p = List.nth open_pids (Prng.int rng (List.length open_pids)) in
+      cursors.(p) <- cursors.(p) + 1;
+      rows.(p).(cursors.(p) - 1))
+
+let test_pinned_random_corpus () =
+  let rng = Dsm_util.Prng.create 2024L in
+  let corpus = List.init 400 (fun _ -> random_history rng) in
+  List.iter
+    (fun (window, expected) ->
+      let sum = Array.make 7 0 and vs = ref [] in
+      List.iter
+        (fun order ->
+          let ck = Online.create ?window () in
+          List.iter (fun op -> ignore (Online.add_op ck op)) order;
+          List.iteri
+            (fun k v -> sum.(k) <- sum.(k) + v)
+            [
+              Online.checks ck; Online.edges ck; Online.retired_ops ck; Online.dropped_reads ck;
+              Online.pending_reads ck; Online.pending_rechecks ck; Online.live_ops ck;
+            ];
+          vs := List.rev_append (violation_ops ck) !vs)
+        corpus;
+      Alcotest.(check string)
+        (match window with Some w -> Printf.sprintf "window %d" w | None -> "unwindowed")
+        expected
+        (summary ~checks:sum.(0) ~edges:sum.(1) ~retired:sum.(2) ~dropped:sum.(3) ~pending:sum.(4)
+           ~rechecks:sum.(5) ~live:sum.(6) (List.rev !vs)))
+    [
+      (None, 
+        "checks=12693 edges=17938 retired=0 dropped=0 pending=1240 rechecks=13329 live=15894 violations=3614 md5=21e195d5abdd45aab0d1b9f533342a06");
+      (Some 2, 
+        "checks=2566 edges=14225 retired=13531 dropped=6995 pending=145 rechecks=8 live=2363 violations=455 md5=019798074be4babd6e8fdf97458210fc");
+      (Some 4, 
+        "checks=3467 edges=15476 retired=11969 dropped=6107 pending=264 rechecks=79 live=3925 violations=730 md5=1044466bef7522248d8a0756a8bca35d");
+      (Some 8, 
+        "checks=4943 edges=16000 retired=10214 dropped=4977 pending=417 rechecks=394 live=5680 violations=1207 md5=ef908a5dfcd1808ea20aed030c263bf7");
+      (Some 16, 
+        "checks=9636 edges=17255 retired=6207 dropped=2002 pending=753 rechecks=3589 live=9687 violations=2646 md5=eca45df8bd15b8778925c48e5106464e");
+    ]
+
 let suite =
   [
     Alcotest.test_case "correct histories stay clean" `Quick test_correct_histories_clean;
@@ -517,4 +681,6 @@ let suite =
       test_pending_reads_bounded;
     Alcotest.test_case "note_crashed clears pending" `Quick test_note_crashed_clears_pending;
     Alcotest.test_case "first violation is the oldest" `Quick test_first_violation_is_oldest;
+    Alcotest.test_case "pinned counters on a Par_engine stream" `Quick test_pinned_par_stream;
+    Alcotest.test_case "pinned counters on a random corpus" `Quick test_pinned_random_corpus;
   ]
