@@ -7,6 +7,8 @@
      words the flat loop allocates (the ALLOC=0 gate);
    - the live heap a fresh 256-node parallel engine holds (the heap
      ceiling) and the minor words per op its first 100k ops allocate;
+   - the windowed online checker's cost and minor words per op on such an
+     engine's recorded op stream;
    - the cost of the other hot paths, one figure each.
    core:
    - the conservative parallel engine ({!Dsm_sim.Par_engine}) driving a
@@ -67,55 +69,62 @@ let engine_row ~seed =
       Report.check "par.minor_words_per_op" (Float words) `Le (Float 1.0);
     ] )
 
-(* Timed with the wall clock over a big fixed loop rather than a sampling
+(* Timed with the wall clock over big fixed loops rather than a sampling
    harness: the loop body is tens of nanoseconds and the quantity gated on
-   is a 5x ratio, not a confidence interval. *)
+   is a 5x ratio, not a confidence interval.  The two loops run in
+   alternating batches and the figures are the medians over the batches,
+   so a burst of load on a shared host skews one batch's ratio, not the
+   gated one. *)
 let owner_write_row ~iters =
-  let warmup = iters / 10 in
+  let batches = 10 in
+  let per_batch = iters / batches in
   let st = P.create ~owner:(Owner.by_index ~nodes:2) ~config:Dsm_protocol.Config.default ~now:0.0 () in
   let loc = Loc.indexed "v" 0 in
   let step_once () =
     ignore (P.step st (P.Owner_write { node = 0; loc; value = Value.Int 1; writer = 0 }))
   in
-  for _ = 1 to warmup do
-    step_once ()
-  done;
-  let t0 = now_s () in
-  for _ = 1 to iters do
-    step_once ()
-  done;
-  let step_ns = (now_s () -. t0) *. 1e9 /. float_of_int iters in
   (* Flat side: same shape — 2 nodes, 1 location, node 0 owns it. *)
   let lid = Loc.Interner.intern (Loc.Interner.create ()) loc in
   let flat = Flat.create ~nodes:2 ~locs:1 ~owner:[| 0 |] () in
   let flat_once () = Flat.owner_write flat ~node:0 ~loc:lid ~value:1 in
-  for _ = 1 to warmup do
-    flat_once ()
+  let loop_ns f n =
+    let t0 = now_s () in
+    for _ = 1 to n do
+      f ()
+    done;
+    (now_s () -. t0) *. 1e9 /. float_of_int n
+  in
+  ignore (loop_ns step_once (iters / 10));
+  ignore (loop_ns flat_once (iters / 10));
+  let step_ns = Array.make batches 0.0 and flat_ns = Array.make batches 0.0 in
+  let minor = ref 0.0 and major = ref 0.0 in
+  for b = 0 to batches - 1 do
+    step_ns.(b) <- loop_ns step_once per_batch;
+    (* [Gc.minor_words] and [Gc.counters]'s major words are exact
+       ([Gc.quick_stat] on OCaml 5 lags until the next collection, and
+       [Gc.counters] on OCaml 5.1 reads the minor words allocated since the
+       last minor collection at an eighth of their number).  [Gc.counters]
+       boxes its own result, which amortised over a batch is far below the
+       0.01 words/op gate. *)
+    let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
+    flat_ns.(b) <- loop_ns flat_once per_batch;
+    let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
+    minor := !minor +. (minor1 -. minor0);
+    major := !major +. (major1 -. major0)
   done;
-  (* [Gc.minor_words] and [Gc.counters]'s major words are exact
-     ([Gc.quick_stat] on OCaml 5 lags until the next collection, and
-     [Gc.counters] on OCaml 5.1 reads the minor words allocated since the
-     last minor collection at an eighth of their number).  [Gc.counters]
-     boxes its own result, which amortised over the loop is far below the
-     0.01 words/op gate. *)
-  let minor0 = Gc.minor_words () and _, _, major0 = Gc.counters () in
-  let t0 = now_s () in
-  for _ = 1 to iters do
-    flat_once ()
-  done;
-  let flat_ns = (now_s () -. t0) *. 1e9 /. float_of_int iters in
-  let minor1 = Gc.minor_words () and _, _, major1 = Gc.counters () in
-  let minor = (minor1 -. minor0) /. float_of_int iters
-  and major = (major1 -. major0) /. float_of_int iters
-  and speedup = step_ns /. flat_ns in
+  let median a = Dsm_util.Stats.percentile a 50.0 in
+  let ops = batches * per_batch in
+  let minor = !minor /. float_of_int ops
+  and major = !major /. float_of_int ops
+  and speedup = median (Array.init batches (fun b -> step_ns.(b) /. flat_ns.(b))) in
   ( {
       Report.name = "owner-write";
-      config = [ ("nodes", Int 2); ("locs", Int 1); ("iters", Int iters) ];
-      e2e = Report.e2e ~ops:iters ();
+      config = [ ("nodes", Int 2); ("locs", Int 1); ("iters", Int ops); ("batches", Int batches) ];
+      e2e = Report.e2e ~ops ();
       layers =
         [
-          ("protocol.step_owner_write_ns", Float step_ns);
-          ("flat.owner_write_ns", Float flat_ns);
+          ("protocol.step_owner_write_ns", Float (median step_ns));
+          ("flat.owner_write_ns", Float (median flat_ns));
           ("flat.speedup", Float speedup);
           ("flat.minor_words_per_op", Float minor);
           ("flat.major_words_per_op", Float major);
@@ -126,6 +135,64 @@ let owner_write_row ~iters =
       Report.check "flat.minor_words_per_op" (Float minor) `Le (Float 0.01);
       Report.check "flat.major_words_per_op" (Float major) `Le (Float 0.01);
     ] )
+
+(* A consumer of [params]' packed op logs that hands [f] each op as a
+   checker op, in program order.  Locations are interned once, so it
+   allocates only the Op records. *)
+let checker_ops params f =
+  let locs = Array.init params.Par.locs (Loc.indexed "x") in
+  let indices = Array.make params.Par.nodes 0 in
+  fun ~node ~buf ~len ->
+    for o = 0 to (len / Par.log_stride) - 1 do
+      let b = o * Par.log_stride in
+      let kind = buf.(b)
+      and loc = locs.(buf.(b + 1))
+      and value = Value.Int buf.(b + 2)
+      and wn = buf.(b + 3)
+      and ws = buf.(b + 4) in
+      let index = indices.(node) in
+      indices.(node) <- index + 1;
+      f
+        (if kind = 0 then
+           Op.read ~pid:node ~index ~loc ~value
+             ~from:(if wn < 0 then Wid.initial else Wid.make ~node:wn ~seq:ws)
+         else Op.write ~pid:node ~index ~loc ~value ~wid:(Wid.make ~node:wn ~seq:ws))
+    done
+
+(* The windowed checker alone, fed a 256-node engine's op stream that is
+   built before the timer starts: its cost and the minor words it
+   allocates per op.  The bound catches a return to a compaction that
+   rebuilds its survivors (74 words per op) or to boxing on the per-op
+   path. *)
+let online_row ~seed ~target_ops =
+  let nodes = 256 and window = 64 in
+  let params = sim_params ~nodes ~seed in
+  let stream = ref [] in
+  ignore
+    (Par.run ~domains:1 ~target_ops
+       ~on_ops:(checker_ops params (fun op -> stream := op :: !stream))
+       (Par.create params));
+  let ops = Array.of_list (List.rev !stream) in
+  let ck = Online.create ~window () in
+  let w0 = Gc.minor_words () in
+  let t0 = now_s () in
+  for i = 0 to Array.length ops - 1 do
+    ignore (Online.add_op ck ops.(i))
+  done;
+  let dt = now_s () -. t0 in
+  let n = float_of_int (Array.length ops) in
+  let words = (Gc.minor_words () -. w0) /. n in
+  ( {
+      Report.name = "online";
+      config = [ ("nodes", Int nodes); ("target_ops", Int target_ops); ("window", Int window) ];
+      e2e = Report.e2e ~ops:(Array.length ops) ();
+      layers =
+        [
+          ("online.ns_per_op", Float (dt *. 1e9 /. n));
+          ("online.minor_words_per_op", Float words);
+        ];
+    },
+    [ Report.check "online.minor_words_per_op" (Float words) `Le (Float 16.0) ] )
 
 (* ns per call of [f], over doubling batches until one takes [budget]
    seconds. *)
@@ -234,8 +301,11 @@ let hot_paths_row ~budget =
 let micro ~quick ~seed =
   let owner_write, owner_checks = owner_write_row ~iters:(if quick then 400_000 else 2_000_000) in
   let engine, engine_checks = engine_row ~seed:(Int64.to_int seed) in
+  let online, online_checks =
+    online_row ~seed:(Int64.to_int seed) ~target_ops:(if quick then 25_000 else 100_000)
+  in
   let hot_paths = hot_paths_row ~budget:(if quick then 0.02 else 0.1) in
-  ([ owner_write; engine; hot_paths ], owner_checks @ engine_checks)
+  ([ owner_write; engine; online; hot_paths ], owner_checks @ engine_checks @ online_checks)
 
 (* {1 Core} *)
 
@@ -268,34 +338,12 @@ let checked_row ~nodes ~seed ~target_ops ~window =
   let params = sim_params ~nodes ~seed in
   let eng = Par.create params in
   let ck = Online.create ~window () in
-  let indices = Array.make nodes 0 in
-  (* Locations are interned once: the feed loop itself allocates only the
-     Op records the checker stores. *)
-  let locs = Array.init params.Par.locs (Loc.indexed "x") in
   let violations = ref 0 in
-  let t0 = now_s () in
-  let stats =
-    Par.run ~domains:1 ~target_ops
-      ~on_ops:(fun ~node ~buf ~len ->
-        for o = 0 to (len / Par.log_stride) - 1 do
-          let b = o * Par.log_stride in
-          let kind = buf.(b)
-          and loc = locs.(buf.(b + 1))
-          and value = Value.Int buf.(b + 2)
-          and wn = buf.(b + 3)
-          and ws = buf.(b + 4) in
-          let index = indices.(node) in
-          indices.(node) <- index + 1;
-          let op =
-            if kind = 0 then
-              Op.read ~pid:node ~index ~loc ~value
-                ~from:(if wn < 0 then Wid.initial else Wid.make ~node:wn ~seq:ws)
-            else Op.write ~pid:node ~index ~loc ~value ~wid:(Wid.make ~node:wn ~seq:ws)
-          in
-          violations := !violations + List.length (Online.add_op ck op)
-        done)
-      eng
+  let on_ops =
+    checker_ops params (fun op -> violations := !violations + List.length (Online.add_op ck op))
   in
+  let t0 = now_s () in
+  let stats = Par.run ~domains:1 ~target_ops ~on_ops eng in
   let ops_per_s = float_of_int stats.Par.completed /. (now_s () -. t0) in
   ( {
       Report.name = "checked";

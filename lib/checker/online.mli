@@ -27,11 +27,11 @@
     the closure is O(n^2) bits and an unbounded run leaks without bound.
     [create ~window:w] bounds it: once the live set reaches [2w], every op
     below the stable frontier (all but the newest [w]) is retired, except
-    anchors later arrivals may still name — each pid's latest op, the
-    newest write per location, and still-pending reads.  A pending read
-    whose source sank below the frontier is {e given up}: its write is
-    treated as never coming, the read stays unvalidated (never evidence),
-    and {!dropped_reads} counts it.
+    two anchors later arrivals may still name, each kept only while it is
+    among the newest [3w] ops: each pid's latest op and the newest write
+    per location.  A pending read is no anchor: one that retires is
+    {e given up} — its write is treated as never coming, the read stays
+    unvalidated (never evidence), and {!dropped_reads} counts it.
 
     Soundness needs one further rule: a late write's waiting readers are
     resolved — reads-from edge wired, verdict issued — only while nothing
@@ -46,12 +46,19 @@
     window can be missed) for O(window^2) closure memory regardless of run
     length.
 
-    {b Cost.}  [add_op] is [O(live)] bitset-row unions per inserted edge
-    (the predecessor scan of the incremental closure) plus one live-set
-    check per read, against [O(n^2)] to rebuild and re-close the whole
+    {b Cost.}  The closure is kept as predecessor rows, one bitset per live
+    op.  An edge onto the op being appended is one row union, O(live/64)
+    words; the rare edge that resolves an older pending read also scans
+    the live rows for that read's successors.  Each read then gets one
+    live-set check, against [O(n^2)] to rebuild and re-close the whole
     relation; {!checks} and {!edges} expose the work done for the cost
-    accounting in docs/CHECKERS.md.  Compaction is O(window^2) and
-    amortises to O(window) per op. *)
+    accounting in docs/CHECKERS.md.  Every op keeps its slot until it
+    retires, so compaction remaps nothing: one pass over the live ops
+    chooses the retiring set, one AND-NOT clears it from the survivors'
+    rows (O(window^2/64) words), and each retired op is unlinked from its
+    location's list and the wid tables in O(1).  It walks no pid or
+    location, runs at most once per [window] appends, and so amortises to
+    O(window/64) words per op. *)
 
 type violation = {
   v_op : Dsm_memory.Op.t;  (** the read that returned a non-live value *)

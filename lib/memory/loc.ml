@@ -63,10 +63,11 @@ module Interner = struct
 
   let count t = t.n
 
+  (* [Table.find], not [find_opt]: a hit allocates nothing. *)
   let intern t loc =
-    match Table.find_opt t.ids loc with
-    | Some id -> id
-    | None ->
+    match Table.find t.ids loc with
+    | id -> id
+    | exception Not_found ->
         let id = t.n in
         if id >= Array.length t.rev then begin
           let rev = Array.make (2 * Array.length t.rev) dummy in

@@ -1,5 +1,5 @@
 (* Rows are Bytes, padded to a multiple of 8 so the hot loops (union,
-   emptiness, scans) run over 64-bit words via [Bytes.get_int64_ne] — the
+   difference, scans) run over 64-bit words via [Bytes.get_int64_ne] — the
    native compiler keeps those int64s unboxed, so a row union is n/64
    register ORs rather than n/8 byte RMWs.  Single-bit access stays
    byte-granular. *)
@@ -30,8 +30,6 @@ let mem t i j =
 
 let copy t = { t with rows = Array.map Bytes.copy t.rows }
 
-let clear t = Array.iter (fun row -> Bytes.fill row 0 t.words '\000') t.rows
-
 let union_row_into t ~src ~dst =
   let s = t.rows.(src) and d = t.rows.(dst) in
   let w = t.words / 8 in
@@ -40,11 +38,15 @@ let union_row_into t ~src ~dst =
     Bytes.set_int64_ne d o (Int64.logor (Bytes.get_int64_ne d o) (Bytes.get_int64_ne s o))
   done
 
-let row_is_empty t i =
-  let row = t.rows.(i) in
+let diff_row_into t ~src ~dst =
+  let s = t.rows.(src) and d = t.rows.(dst) in
   let w = t.words / 8 in
-  let rec go b = b >= w || (Bytes.get_int64_ne row (b * 8) = 0L && go (b + 1)) in
-  go 0
+  for b = 0 to w - 1 do
+    let o = b * 8 in
+    Bytes.set_int64_ne d o (Int64.logand (Bytes.get_int64_ne d o) (Int64.lognot (Bytes.get_int64_ne s o)))
+  done
+
+let clear_row t i = Bytes.fill t.rows.(i) 0 t.words '\000'
 
 (* Word-skip scan: visit each set bit of a row, cheap on the mostly-zero
    rows the checker's closures are made of. *)
@@ -58,62 +60,6 @@ let iter_row t i f =
         if v <> 0 then
           for bit = 0 to 7 do
             if v land (1 lsl bit) <> 0 then f ((byte * 8) + bit)
-          done
-      done
-  done
-
-(* For each [a] in row [sel_row] of [sel], add (a, j) to [t].  The hot path
-   of closure maintenance: inserting an edge onto a fresh target [j] needs
-   exactly bit [j] set in every predecessor row — byte and mask are fixed,
-   so this is one read-or-write per predecessor with no per-bit closure. *)
-let add_col t ~sel ~sel_row j =
-  check t sel_row j;
-  if sel.n <> t.n then invalid_arg "Bitrel.add_col: size mismatch";
-  let byte = j / 8 and mask = 1 lsl (j mod 8) in
-  let srow = sel.rows.(sel_row) in
-  let w = sel.words / 8 in
-  for b = 0 to w - 1 do
-    if Bytes.get_int64_ne srow (b * 8) <> 0L then
-      for sbyte = b * 8 to (b * 8) + 7 do
-        let sb = Char.code (Bytes.unsafe_get srow sbyte) in
-        if sb <> 0 then
-          for bit = 0 to 7 do
-            if sb land (1 lsl bit) <> 0 then begin
-              let row = t.rows.((sbyte * 8) + bit) in
-              Bytes.unsafe_set row byte
-                (Char.unsafe_chr (Char.code (Bytes.unsafe_get row byte) lor mask))
-            end
-          done
-      done
-  done
-
-(* Copy row [src_row] of [src] into row [dst_row] of [dst] (and mirror into
-   [dst_rev]) under an index remapping: bit [k] survives iff [map.(k) >= 0],
-   landing at [map.(k)].  One tight loop for window compaction instead of an
-   iterator closure plus two bounds-checked adds per surviving pair. *)
-let remap_row_into src ~src_row ~map ~dst ~dst_rev ~dst_row =
-  if dst_row < 0 || dst_row >= dst.n then invalid_arg "Bitrel.remap_row_into";
-  let srow = src.rows.(src_row) in
-  let drow = dst.rows.(dst_row) in
-  let rbyte = dst_row / 8 and rmask = 1 lsl (dst_row mod 8) in
-  let w = src.words / 8 in
-  for b = 0 to w - 1 do
-    if Bytes.get_int64_ne srow (b * 8) <> 0L then
-      for sbyte = b * 8 to (b * 8) + 7 do
-        let sb = Char.code (Bytes.unsafe_get srow sbyte) in
-        if sb <> 0 then
-          for bit = 0 to 7 do
-            if sb land (1 lsl bit) <> 0 then begin
-              let j = map.((sbyte * 8) + bit) in
-              if j >= 0 then begin
-                Bytes.unsafe_set drow (j / 8)
-                  (Char.unsafe_chr
-                     (Char.code (Bytes.unsafe_get drow (j / 8)) lor (1 lsl (j mod 8))));
-                let rrow = dst_rev.rows.(j) in
-                Bytes.unsafe_set rrow rbyte
-                  (Char.unsafe_chr (Char.code (Bytes.unsafe_get rrow rbyte) lor rmask))
-              end
-            end
           done
       done
   done

@@ -19,32 +19,20 @@ val mem : t -> int -> int -> bool
 
 val copy : t -> t
 
-val clear : t -> unit
-(** Remove every pair, keeping the allocation. *)
-
 val union_row_into : t -> src:int -> dst:int -> unit
 (** [union_row_into t ~src ~dst] ORs row [src] into row [dst]:
     everything reachable from [src] becomes reachable from [dst]. *)
 
-val row_is_empty : t -> int -> bool
-(** [row_is_empty t i] iff [i] relates to nothing. *)
+val diff_row_into : t -> src:int -> dst:int -> unit
+(** [diff_row_into t ~src ~dst] removes from row [dst] every [j] in row
+    [src]. *)
+
+val clear_row : t -> int -> unit
+(** [clear_row t i] removes every pair [(i, j)]. *)
 
 val iter_row : t -> int -> (int -> unit) -> unit
 (** [iter_row t i f] applies [f j] to each [j] with [mem t i j], ascending;
     skips empty bytes, so sparse rows cost O(size/8). *)
-
-val add_col : t -> sel:t -> sel_row:int -> int -> unit
-(** [add_col t ~sel ~sel_row j] adds [(a, j)] to [t] for every [a] in row
-    [sel_row] of [sel].  Column insertion with a fixed byte/mask — the hot
-    path when closing over an edge whose target has no successors yet. *)
-
-val remap_row_into :
-  t -> src_row:int -> map:int array -> dst:t -> dst_rev:t -> dst_row:int -> unit
-(** [remap_row_into src ~src_row ~map ~dst ~dst_rev ~dst_row] copies row
-    [src_row] of [src] into row [dst_row] of [dst] under [map] (bit [k]
-    survives iff [map.(k) >= 0], landing at [map.(k)]), mirroring each
-    surviving pair into the transpose [dst_rev].  Window compaction's
-    closure rebuild in one pass. *)
 
 val transitive_closure : t -> unit
 (** Close the relation in place.  Uses a reverse-topological propagation when

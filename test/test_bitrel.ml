@@ -62,7 +62,13 @@ let test_union_row () =
   Bitrel.union_row_into r ~src:2 ~dst:1;
   Alcotest.(check bool) "1->0" true (Bitrel.mem r 1 0);
   Alcotest.(check bool) "1->3" true (Bitrel.mem r 1 3);
-  Alcotest.(check bool) "src intact" true (Bitrel.mem r 2 0)
+  Alcotest.(check bool) "src intact" true (Bitrel.mem r 2 0);
+  Bitrel.add r 1 2;
+  Bitrel.diff_row_into r ~src:2 ~dst:1;
+  Alcotest.(check (list int)) "diff keeps only 1->2" [ 2 ] (Bitrel.successors r 1);
+  Bitrel.clear_row r 2;
+  Alcotest.(check (list int)) "cleared row" [] (Bitrel.successors r 2);
+  Alcotest.(check (list int)) "other rows untouched" [ 2 ] (Bitrel.successors r 1)
 
 let test_copy_equal () =
   let r = Bitrel.create 6 in
