@@ -19,24 +19,23 @@ module Wid = Dsm_memory.Wid
 let base_params =
   { (Par.default_params ~nodes:12) with locs = 18; shards = 5; seed = 42; remote_pct = 40 }
 
-(* Capture the entire barrier-ordered op stream as one int list (node id
-   prepended to each record) plus the run stats. *)
+(* An [on_ops] consumer: one line per op-log record, node id first. *)
+let record stream ~node ~buf ~len =
+  for o = 0 to (len / Par.log_stride) - 1 do
+    Buffer.add_string stream (string_of_int node);
+    for k = 0 to Par.log_stride - 1 do
+      Buffer.add_char stream ',';
+      Buffer.add_string stream (string_of_int buf.((o * Par.log_stride) + k))
+    done;
+    Buffer.add_char stream '\n'
+  done
+
+(* Capture the entire barrier-ordered op stream as one string plus the run
+   stats. *)
 let capture ?(params = base_params) ~domains ~target_ops () =
   let eng = Par.create params in
   let stream = Buffer.create 4096 in
-  let stats =
-    Par.run ~domains ~target_ops
-      ~on_ops:(fun ~node ~buf ~len ->
-        for o = 0 to (len / Par.log_stride) - 1 do
-          Buffer.add_string stream (string_of_int node);
-          for k = 0 to Par.log_stride - 1 do
-            Buffer.add_char stream ',';
-            Buffer.add_string stream (string_of_int buf.((o * Par.log_stride) + k))
-          done;
-          Buffer.add_char stream '\n'
-        done)
-      eng
-  in
+  let stats = Par.run ~domains ~target_ops ~on_ops:(record stream) eng in
   (stats, Buffer.contents stream)
 
 let test_domain_count_independence () =
@@ -117,6 +116,27 @@ let test_larger_scale_smoke () =
   Alcotest.(check int) "completed" a.Par.completed b.Par.completed;
   Alcotest.(check int) "epochs" a.Par.epochs b.Par.epochs
 
+(* {2 Pinned output}
+
+   The tests above compare runs with each other, so a slip that every
+   domain count shares would pass them.  This one pins a single 256-node
+   run's final digest, an MD5 of the op logs handed to [on_ops] and Flat's
+   counters as literals: a faster kernel or a cheaper mailbox record must
+   reproduce them exactly. *)
+
+let test_pinned_run () =
+  let eng = Par.create { (Par.default_params ~nodes:256) with seed = 1 } in
+  let stream = Buffer.create 4096 in
+  let stats = Par.run ~domains:1 ~target_ops:100_000 ~on_ops:(record stream) eng in
+  let c = Flat.counters (Par.flat eng) in
+  Alcotest.(check int) "digest" 2055887741507107083 stats.Par.digest;
+  Alcotest.(check string) "op logs" "15f9d2bf9e26878db08eb0c258396020" (Digest.to_hex (Digest.string (Buffer.contents stream)));
+  Alcotest.(check string) "counters"
+    "owned=29773 certified=14028 rejected=0 invalidations=31882 installs=19051 hits=37727 misses=0"
+    (Printf.sprintf "owned=%d certified=%d rejected=%d invalidations=%d installs=%d hits=%d misses=%d"
+       c.Flat.writes_owned c.Flat.writes_certified c.Flat.writes_rejected c.Flat.invalidations
+       c.Flat.installs c.Flat.read_hits c.Flat.read_misses)
+
 let suite =
   [
     Alcotest.test_case "domain-count independence" `Quick test_domain_count_independence;
@@ -124,4 +144,5 @@ let suite =
     Alcotest.test_case "single shot" `Quick test_single_shot;
     Alcotest.test_case "history is causal" `Quick test_history_is_causal;
     Alcotest.test_case "48-node parallel determinism" `Quick test_larger_scale_smoke;
+    Alcotest.test_case "pinned 256-node run" `Quick test_pinned_run;
   ]
