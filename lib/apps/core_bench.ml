@@ -276,12 +276,60 @@ let hot_paths_row ~budget =
         ~wid_node:(Flat.last_wid_node st ~node:o) ~wid_seq:(Flat.last_wid_seq st ~node:o)
         ~stamp:(Flat.stamp_arena st ~node:o) ~stamp_off:(Flat.entry_off st ~node:o ~loc:l)
   in
+  (* Two 256-wide windows, sim-256's stamp width, at odd offsets of one
+     arena: [w_b] equals [w_a] but for its last component, one higher, so
+     [lt] and [compare_vt] scan every component, and merging [w_a] into
+     [w_b] changes none, as most components of an install's merge do not. *)
+  let wide = 256 in
+  let arena = Array.make (1 + (3 * wide)) 0 in
+  let w_a = 1 and w_b = 1 + wide and w_c = 1 + (2 * wide) in
+  for i = 0 to wide - 1 do
+    arena.(w_a + i) <- (i * 7) mod 13;
+    arena.(w_b + i) <- (i * 7) mod 13
+  done;
+  arena.(w_b + wide - 1) <- arena.(w_b + wide - 1) + 1;
+  (* One remote read on a 256-node flat state: the owner writes, and the
+     reader installs the entry (R_REPLY), merging its stamp into the
+     reader's clock and running an invalidation pass over the reader's 12
+     cached entries, about as many as a sim-256 node holds.  Their owners
+     are spread across the clock, and their stamps are concurrent, so no
+     install invalidates another and the reader keeps all 12. *)
+  let remote_read_cycle =
+    let nodes = 256 and cached = 12 and reader = 0 in
+    let st = Flat.create ~nodes ~locs:nodes ~owner:(Array.init nodes Fun.id) () in
+    let locs = Array.init cached (fun k -> 1 + (k * 21)) in
+    let install l =
+      let o = Flat.owner_of st l in
+      Flat.install_remote st ~node:reader ~loc:l ~value:(Flat.entry_value st ~node:o ~loc:l)
+        ~wid_node:(Flat.entry_wid_node st ~node:o ~loc:l)
+        ~wid_seq:(Flat.entry_wid_seq st ~node:o ~loc:l) ~stamp:(Flat.stamp_arena st ~node:o)
+        ~stamp_off:(Flat.entry_off st ~node:o ~loc:l)
+    in
+    let i = ref 0 in
+    let cycle () =
+      incr i;
+      let l = locs.(!i mod cached) in
+      Flat.owner_write st ~node:(Flat.owner_of st l) ~loc:l ~value:!i;
+      install l
+    in
+    for _ = 1 to cached do
+      cycle ()
+    done;
+    cycle
+  in
   let keep x = ignore (Sys.opaque_identity x) in
   let cases =
     [
       ("vclock.update_ns", fun () -> keep (Vclock.update a b));
       ("vclock.compare_ns", fun () -> keep (Vclock.compare_vt a b));
       ("vclock.increment_ns", fun () -> keep (Vclock.increment a 3));
+      ( "vclock.flat256_merge_ns",
+        fun () -> Vclock.Flat.merge_into ~dst:arena ~dst_off:w_b ~src:arena ~src_off:w_a ~dim:wide );
+      ( "vclock.flat256_blit_ns",
+        fun () -> Vclock.Flat.blit ~src:arena ~src_off:w_a ~dst:arena ~dst_off:w_c ~dim:wide );
+      ("vclock.flat256_lt_ns", fun () -> keep (Vclock.Flat.lt arena ~a_off:w_a arena ~b_off:w_b ~dim:wide));
+      ( "vclock.flat256_compare_ns",
+        fun () -> keep (Vclock.Flat.compare_vt arena ~a_off:w_a arena ~b_off:w_b ~dim:wide) );
       ("engine.schedule_step_x64_ns", queue);
       ("bitrel.closure_80_ns", closure);
       ("checker.causal_fig2_ns", fun () -> keep (Dsm_checker.Causal_check.is_correct Dsm_checker.Histories.fig2));
@@ -289,6 +337,7 @@ let hot_paths_row ~budget =
       ("cluster.write_read_remote_ns", round_trip);
       ("protocol.step_hb_tick_ns", hb_tick);
       ("flat.remote_write_cycle_ns", remote_write_cycle);
+      ("flat.remote_read_cycle_256_ns", remote_read_cycle);
     ]
   in
   {

@@ -20,6 +20,11 @@
      the nodes actually hold, as Figure 4's per-value stamps do, not
      [nodes * locs]; every stamp is manipulated in place by
      {!Vclock.Flat} and nothing is copied except window-to-window blits;
+   - an install or an adoption merges the arriving stamp into the node's
+     clock and copies it into the entry's window in one pass
+     ({!Vclock.Flat.merge_blit}), and the invalidation pass compares a
+     cached entry's writer component before it scans the whole stamp, so
+     most entries that stay cost one compare rather than a 256-wide scan;
    - completions are exposed through per-node out-fields ([last_*]) instead
      of freshly consed action lists — the caller reads them before the
      acting node's next step, the reusable-buffer analogue of
@@ -219,7 +224,14 @@ let cached_count t node = t.cached_len.(node)
 (* Invalidate every cached (non-owned) entry of [node] whose writestamp is
    strictly older than the threshold window: the rule of Figure 4, over the
    compact directory.  Iterates backwards so swap-remove never skips a
-   slot. *)
+   slot.
+
+   An entry's stamp exceeding the threshold at any component rules out
+   "strictly older", and the component of the entry's writer is the one
+   most likely to: the write ticked it, and a threshold that has not heard
+   of the write is behind there.  So that one component is probed before
+   the full scan.  The virtual initial write ([wid_node] -1) has no writer
+   component; its all-zero stamp always takes the scan. *)
 let invalidate_older t ~node ~thr ~thr_off =
   let base = node * t.locs in
   let pool = t.pools.(node) in
@@ -228,7 +240,10 @@ let invalidate_older t ~node ~thr ~thr_off =
     let loc = t.cached.(base + !k) in
     let e = base + loc in
     let s = t.slot.(e) in
-    if Vclock.Flat.lt pool ~a_off:(s * t.n) thr ~b_off:thr_off ~dim:t.n then begin
+    let w = t.wid_node.(e) in
+    let newer_at_writer = w >= 0 && w < t.n && pool.((s * t.n) + w) > thr.(thr_off + w) in
+    if (not newer_at_writer) && Vclock.Flat.lt pool ~a_off:(s * t.n) thr ~b_off:thr_off ~dim:t.n
+    then begin
       give_slot t ~node s;
       t.slot.(e) <- -1;
       cached_remove t ~node ~loc;
@@ -237,13 +252,26 @@ let invalidate_older t ~node ~thr ~thr_off =
     decr k
   done
 
-let store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
+(* Set entry [e]'s fields, taking a pool slot if it holds none, and return
+   the offset of its stamp window in [node]'s pool for the caller to
+   fill. *)
+let set_entry t ~node ~e ~value ~wid_node ~wid_seq =
   if t.slot.(e) < 0 then t.slot.(e) <- take_slot t ~node;
   t.value.(e) <- value;
   t.wid_node.(e) <- wid_node;
   t.wid_seq.(e) <- wid_seq;
-  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:t.pools.(node)
-    ~dst_off:(t.slot.(e) * t.n) ~dim:t.n
+  t.slot.(e) * t.n
+
+let store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
+  let off = set_entry t ~node ~e ~value ~wid_node ~wid_seq in
+  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:t.pools.(node) ~dst_off:off ~dim:t.n
+
+(* Store an entry that arrived from another node: merge its stamp into
+   [node]'s clock and copy it into the entry's window in one pass. *)
+let merge_store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
+  let off = set_entry t ~node ~e ~value ~wid_node ~wid_seq in
+  Vclock.Flat.merge_blit ~src:stamp ~src_off:stamp_off ~dst:t.clock ~dst_off:(node * t.n)
+    ~copy:t.pools.(node) ~copy_off:off ~dim:t.n
 
 (* {1 The Figure-4 services} *)
 
@@ -313,23 +341,19 @@ let certify t ~node ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
 
 (* Client-side R_REPLY ([Node.install_remote]): merge the entry's stamp,
    cache the copy, and invalidate anything strictly older than the stamp
-   just learned. *)
+   just learned.  The pass runs before a newly cached entry joins the
+   directory: its stamp is the threshold itself, never strictly older, and
+   comparing the two would be a full scan. *)
 let install_remote t ~node ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
-  Vclock.Flat.merge_into ~dst:t.clock ~dst_off:(node * t.n) ~src:stamp ~src_off:stamp_off
-    ~dim:t.n;
-  let e = entry t ~node ~loc in
-  store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
-  cached_add t ~node ~loc;
+  merge_store t ~node ~e:(entry t ~node ~loc) ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
   t.c_installs.(node) <- t.c_installs.(node) + 1;
-  invalidate_older t ~node ~thr:stamp ~thr_off:stamp_off
+  invalidate_older t ~node ~thr:stamp ~thr_off:stamp_off;
+  cached_add t ~node ~loc
 
 (* Client-side W_REPLY ([Node.adopt_write_reply]): merge and cache the
    certified entry; no invalidation pass. *)
 let adopt_write_reply t ~node ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
-  Vclock.Flat.merge_into ~dst:t.clock ~dst_off:(node * t.n) ~src:stamp ~src_off:stamp_off
-    ~dim:t.n;
-  let e = entry t ~node ~loc in
-  store t ~node ~e ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
+  merge_store t ~node ~e:(entry t ~node ~loc) ~value ~wid_node ~wid_seq ~stamp ~stamp_off;
   cached_add t ~node ~loc
 
 (* Local read: owned locations always hit (they are born present); cached

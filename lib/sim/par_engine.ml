@@ -18,7 +18,9 @@
      appends to its own out-row; at the epoch barrier the main domain
      swaps the banks.  {e All} traffic goes through the mailboxes — also
      between nodes of the same shard — so behaviour cannot depend on the
-     shard layout.
+     shard layout.  Every record has the same [7 + nodes]-int layout, a
+     stamp included.  An R_REQ carries no stamp: nothing writes or reads
+     its stamp words, which hold whatever the mailbox held there before.
 
    - Each shard's epoch is a pure function of (its nodes' state, its
      inbox, its nodes' PRNGs): inboxes are drained in ascending source
@@ -112,7 +114,6 @@ type t = {
   issued : int array;
   completed : int array;
   logs : buf array; (* per node *)
-  zeros : int array; (* all-zero stamp for requests that carry none *)
   mutable gen_enabled : bool;
   mutable stop : bool;
   mutable epochs : int;
@@ -157,7 +158,6 @@ let create p =
     issued = Array.make p.nodes 0;
     completed = Array.make p.nodes 0;
     logs = Array.init p.nodes (fun _ -> { data = [||]; len = 0 });
-    zeros = Array.make p.nodes 0;
     gen_enabled = true;
     stop = false;
     epochs = 0;
@@ -176,7 +176,10 @@ let reserve b extra =
     b.data <- data
   end
 
-let send t ~kind ~src ~dst ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
+(* Append a record to the mailbox from [src]'s shard to [dst]'s, all but
+   its stamp words, and return that mailbox: the stamp is the record's last
+   [nodes] words. *)
+let post t ~kind ~src ~dst ~loc ~value ~wid_node ~wid_seq =
   let mb = t.out.((shard_of t src * t.nshards) + shard_of t dst) in
   reserve mb t.stride;
   let b = mb.data and o = mb.len in
@@ -187,8 +190,13 @@ let send t ~kind ~src ~dst ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
   b.(o + 4) <- value;
   b.(o + 5) <- wid_node;
   b.(o + 6) <- wid_seq;
-  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:b ~dst_off:(o + 7) ~dim:t.p.nodes;
-  mb.len <- o + t.stride
+  mb.len <- o + t.stride;
+  mb
+
+let send t ~kind ~src ~dst ~loc ~value ~wid_node ~wid_seq ~stamp ~stamp_off =
+  let mb = post t ~kind ~src ~dst ~loc ~value ~wid_node ~wid_seq in
+  Vclock.Flat.blit ~src:stamp ~src_off:stamp_off ~dst:mb.data ~dst_off:(mb.len - t.p.nodes)
+    ~dim:t.p.nodes
 
 let log_op t ~node ~kind ~loc ~value ~wid_node ~wid_seq =
   let lb = t.logs.(node) in
@@ -296,8 +304,9 @@ let generate t node =
       else begin
         t.status.(node) <- 1;
         t.pending_loc.(node) <- loc;
-        send t ~kind:m_r_req ~src:node ~dst:(Flat.owner_of flat loc) ~loc ~value:0
-          ~wid_node:(-1) ~wid_seq:0 ~stamp:t.zeros ~stamp_off:0
+        ignore
+          (post t ~kind:m_r_req ~src:node ~dst:(Flat.owner_of flat loc) ~loc ~value:0
+             ~wid_node:(-1) ~wid_seq:0)
       end
     end
     else begin

@@ -24,9 +24,15 @@ type order = Before | After | Equal | Concurrent
    The hot path (Dsm_protocol.Flat) stores many clocks side by side in flat
    [int array] arenas and works on [dim]-wide windows starting at a
    word offset.  Every operation here is in-place or a pure fold: none
-   allocates, which is what the microbench ALLOC=0 gate measures.  Bounds
-   are the caller's contract — these run inside loops already bounded by the
-   arena layout, and [Array.get]/[set] still check each access.
+   allocates, which is what the microbench ALLOC=0 gate measures.
+
+   Each kernel checks its windows once, before it reads or writes anything,
+   and then indexes with [Array.unsafe_get]/[unsafe_set] in blocks of four
+   components and a tail.  The comparisons fold differences instead of
+   branching per component: with non-negative components [y - x] cannot
+   overflow and is negative exactly when [x > y], so ORing four
+   differences and testing the sign once answers "does any of these four
+   exceed its partner?".
 
    Every window is annotated [int array]: on a polymorphic window each [>]
    is a [caml_greaterthan] call.  That allocates nothing, so the ALLOC=0
@@ -34,63 +40,195 @@ type order = Before | After | Equal | Concurrent
    these same kernels at offset 0. *)
 
 module Flat = struct
+  (* A direct [raise], not [invalid_arg]: a call that may return would keep
+     the kernel's operands alive across it, and the register allocator then
+     reloads them from the stack on every iteration of the loop below. *)
+  let[@inline] check_window msg (a : int array) off dim =
+    if off < 0 || dim < 0 || off > Array.length a - dim then raise (Invalid_argument msg)
+
+  let[@inline] max_into (dst : int array) j x = if x > Array.unsafe_get dst j then Array.unsafe_set dst j x
+
+  (* The loops run one index [s] over the source window, [d] words behind
+     the destination's. *)
   let merge_into ~(dst : int array) ~dst_off ~(src : int array) ~src_off ~dim =
-    for i = 0 to dim - 1 do
-      let s = src.(src_off + i) in
-      if s > dst.(dst_off + i) then dst.(dst_off + i) <- s
+    check_window "Vclock.Flat.merge_into: window out of range" dst dst_off dim;
+    check_window "Vclock.Flat.merge_into: window out of range" src src_off dim;
+    let d = dst_off - src_off and stop = src_off + dim in
+    let i = ref src_off in
+    while !i + 4 <= stop do
+      let s = !i in
+      max_into dst (s + d) (Array.unsafe_get src s);
+      max_into dst (s + d + 1) (Array.unsafe_get src (s + 1));
+      max_into dst (s + d + 2) (Array.unsafe_get src (s + 2));
+      max_into dst (s + d + 3) (Array.unsafe_get src (s + 3));
+      i := s + 4
+    done;
+    while !i < stop do
+      max_into dst (!i + d) (Array.unsafe_get src !i);
+      incr i
+    done
+
+  (* [merge_into] and a [blit] of the same source in one pass.  Each
+     component is read once, then merged and copied, so the source may be
+     the merged window itself. *)
+  let merge_blit ~(src : int array) ~src_off ~(dst : int array) ~dst_off ~(copy : int array)
+      ~copy_off ~dim =
+    check_window "Vclock.Flat.merge_blit: window out of range" src src_off dim;
+    check_window "Vclock.Flat.merge_blit: window out of range" dst dst_off dim;
+    check_window "Vclock.Flat.merge_blit: window out of range" copy copy_off dim;
+    let d = dst_off - src_off and c = copy_off - src_off and stop = src_off + dim in
+    let i = ref src_off in
+    while !i + 4 <= stop do
+      let s = !i in
+      let x = Array.unsafe_get src s in
+      max_into dst (s + d) x;
+      Array.unsafe_set copy (s + c) x;
+      let x = Array.unsafe_get src (s + 1) in
+      max_into dst (s + d + 1) x;
+      Array.unsafe_set copy (s + c + 1) x;
+      let x = Array.unsafe_get src (s + 2) in
+      max_into dst (s + d + 2) x;
+      Array.unsafe_set copy (s + c + 2) x;
+      let x = Array.unsafe_get src (s + 3) in
+      max_into dst (s + d + 3) x;
+      Array.unsafe_set copy (s + c + 3) x;
+      i := s + 4
+    done;
+    while !i < stop do
+      let x = Array.unsafe_get src !i in
+      max_into dst (!i + d) x;
+      Array.unsafe_set copy (!i + c) x;
+      incr i
     done
 
   (* [Array.blit]'s overlap semantics without its per-word [caml_modify] on
      a major-heap arena: copy downwards when the destination starts inside
      the source window of the same array. *)
   let blit ~(src : int array) ~src_off ~(dst : int array) ~dst_off ~dim =
-    if src == dst && src_off < dst_off then
-      for i = dim - 1 downto 0 do
-        dst.(dst_off + i) <- src.(src_off + i)
+    check_window "Vclock.Flat.blit: window out of range" src src_off dim;
+    check_window "Vclock.Flat.blit: window out of range" dst dst_off dim;
+    let d = dst_off - src_off in
+    if src == dst && d > 0 then begin
+      let i = ref (src_off + dim - 1) in
+      while !i - 3 >= src_off do
+        let s = !i in
+        Array.unsafe_set dst (s + d) (Array.unsafe_get src s);
+        Array.unsafe_set dst (s + d - 1) (Array.unsafe_get src (s - 1));
+        Array.unsafe_set dst (s + d - 2) (Array.unsafe_get src (s - 2));
+        Array.unsafe_set dst (s + d - 3) (Array.unsafe_get src (s - 3));
+        i := s - 4
+      done;
+      while !i >= src_off do
+        Array.unsafe_set dst (!i + d) (Array.unsafe_get src !i);
+        decr i
       done
-    else
-      for i = 0 to dim - 1 do
-        dst.(dst_off + i) <- src.(src_off + i)
+    end
+    else begin
+      let stop = src_off + dim in
+      let i = ref src_off in
+      while !i + 4 <= stop do
+        let s = !i in
+        Array.unsafe_set dst (s + d) (Array.unsafe_get src s);
+        Array.unsafe_set dst (s + d + 1) (Array.unsafe_get src (s + 1));
+        Array.unsafe_set dst (s + d + 2) (Array.unsafe_get src (s + 2));
+        Array.unsafe_set dst (s + d + 3) (Array.unsafe_get src (s + 3));
+        i := s + 4
+      done;
+      while !i < stop do
+        Array.unsafe_set dst (!i + d) (Array.unsafe_get src !i);
+        incr i
       done
+    end
 
   let bump (a : int array) ~off i = a.(off + i) <- a.(off + i) + 1
 
   let fill_zero (a : int array) ~off ~dim = Array.fill a off dim 0
 
-  (* Stops once both directions have differed: the verdict is then
-     [Concurrent] whatever the remaining components hold. *)
+  (* [a_gt] goes negative once some component of [a] exceeds [b]'s, [b_gt]
+     once some component of [b] exceeds [a]'s.  Stops after the block in
+     which both have: the verdict is then [Concurrent] whatever the
+     remaining components hold.  Each block folds its components one pair
+     at a time, so that few values are live at once and none is spilled. *)
   let compare_vt (a : int array) ~a_off (b : int array) ~b_off ~dim =
-    let a_le = ref true and b_le = ref true in
-    let i = ref 0 in
-    while (!a_le || !b_le) && !i < dim do
-      let x = a.(a_off + !i) and y = b.(b_off + !i) in
-      if x > y then a_le := false else if y > x then b_le := false;
-      i := !i + 1
+    check_window "Vclock.Flat.compare_vt: window out of range" a a_off dim;
+    check_window "Vclock.Flat.compare_vt: window out of range" b b_off dim;
+    let d = b_off - a_off and stop = a_off + dim in
+    let a_gt = ref 0 and b_gt = ref 0 in
+    let i = ref a_off in
+    while !i + 4 <= stop && !a_gt land !b_gt >= 0 do
+      let s = !i in
+      let x = Array.unsafe_get a s and y = Array.unsafe_get b (s + d) in
+      let ag = y - x and bg = x - y in
+      let x = Array.unsafe_get a (s + 1) and y = Array.unsafe_get b (s + d + 1) in
+      let ag = ag lor (y - x) and bg = bg lor (x - y) in
+      let x = Array.unsafe_get a (s + 2) and y = Array.unsafe_get b (s + d + 2) in
+      let ag = ag lor (y - x) and bg = bg lor (x - y) in
+      let x = Array.unsafe_get a (s + 3) and y = Array.unsafe_get b (s + d + 3) in
+      a_gt := !a_gt lor ag lor (y - x);
+      b_gt := !b_gt lor bg lor (x - y);
+      i := s + 4
     done;
-    match (!a_le, !b_le) with
+    while !i < stop && !a_gt land !b_gt >= 0 do
+      let x = Array.unsafe_get a !i and y = Array.unsafe_get b (!i + d) in
+      a_gt := !a_gt lor (y - x);
+      b_gt := !b_gt lor (x - y);
+      incr i
+    done;
+    match (!a_gt >= 0, !b_gt >= 0) with
     | true, true -> Equal
     | true, false -> Before
     | false, true -> After
     | false, false -> Concurrent
 
+  (* [compare_vt]'s folds, stopping after the first block in which [a]
+     exceeds [b]. *)
   let lt (a : int array) ~a_off (b : int array) ~b_off ~dim =
-    let a_le = ref true and b_gt = ref false in
-    let i = ref 0 in
-    while !a_le && !i < dim do
-      let x = a.(a_off + !i) and y = b.(b_off + !i) in
-      if x > y then a_le := false else if y > x then b_gt := true;
-      i := !i + 1
+    check_window "Vclock.Flat.lt: window out of range" a a_off dim;
+    check_window "Vclock.Flat.lt: window out of range" b b_off dim;
+    let d = b_off - a_off and stop = a_off + dim in
+    let a_gt = ref 0 and b_gt = ref 0 in
+    let i = ref a_off in
+    while !i + 4 <= stop && !a_gt >= 0 do
+      let s = !i in
+      let x = Array.unsafe_get a s and y = Array.unsafe_get b (s + d) in
+      let ag = y - x and bg = x - y in
+      let x = Array.unsafe_get a (s + 1) and y = Array.unsafe_get b (s + d + 1) in
+      let ag = ag lor (y - x) and bg = bg lor (x - y) in
+      let x = Array.unsafe_get a (s + 2) and y = Array.unsafe_get b (s + d + 2) in
+      let ag = ag lor (y - x) and bg = bg lor (x - y) in
+      let x = Array.unsafe_get a (s + 3) and y = Array.unsafe_get b (s + d + 3) in
+      a_gt := ag lor (y - x);
+      b_gt := !b_gt lor bg lor (x - y);
+      i := s + 4
     done;
-    !a_le && !b_gt
+    while !i < stop && !a_gt >= 0 do
+      let x = Array.unsafe_get a !i and y = Array.unsafe_get b (!i + d) in
+      a_gt := y - x;
+      b_gt := !b_gt lor (x - y);
+      incr i
+    done;
+    !a_gt >= 0 && !b_gt < 0
 
   let leq (a : int array) ~a_off (b : int array) ~b_off ~dim =
-    let ok = ref true in
-    let i = ref 0 in
-    while !ok && !i < dim do
-      if a.(a_off + !i) > b.(b_off + !i) then ok := false;
-      i := !i + 1
+    check_window "Vclock.Flat.leq: window out of range" a a_off dim;
+    check_window "Vclock.Flat.leq: window out of range" b b_off dim;
+    let d = b_off - a_off and stop = a_off + dim in
+    let a_gt = ref 0 in
+    let i = ref a_off in
+    while !i + 4 <= stop && !a_gt >= 0 do
+      let s = !i in
+      a_gt :=
+        (Array.unsafe_get b (s + d) - Array.unsafe_get a s)
+        lor (Array.unsafe_get b (s + d + 1) - Array.unsafe_get a (s + 1))
+        lor (Array.unsafe_get b (s + d + 2) - Array.unsafe_get a (s + 2))
+        lor (Array.unsafe_get b (s + d + 3) - Array.unsafe_get a (s + 3));
+      i := s + 4
     done;
-    !ok
+    while !i < stop && !a_gt >= 0 do
+      a_gt := Array.unsafe_get b (!i + d) - Array.unsafe_get a !i;
+      incr i
+    done;
+    !a_gt >= 0
 end
 
 (* Returns the shared dimension, so a kernel never runs to [a]'s length

@@ -72,10 +72,35 @@ val total_compare : t -> t -> int
     the property tests pin each operation to a product-order reference,
     and the microbench ALLOC=0 gate pins the no-allocation claim.  The
     copying API above is these kernels at offset 0, after its dimension
-    check. *)
+    check.
+
+    The contract of every kernel below except [bump] and [fill_zero]:
+    - each call checks each of its windows once, before it reads or writes
+      anything: a window that does not lie inside its array raises
+      [Invalid_argument] and leaves every array unchanged;
+    - components are non-negative, as every clock's are.  The comparisons
+      read the sign of the difference of two components, which cannot
+      overflow when both are non-negative. *)
 module Flat : sig
   val merge_into : dst:int array -> dst_off:int -> src:int array -> src_off:int -> dim:int -> unit
   (** In-place component-wise maximum: [dst := update(dst, src)]. *)
+
+  val merge_blit :
+    src:int array ->
+    src_off:int ->
+    dst:int array ->
+    dst_off:int ->
+    copy:int array ->
+    copy_off:int ->
+    dim:int ->
+    unit
+  (** [merge_into ~dst ~dst_off ~src ~src_off ~dim] followed by
+      [blit ~src ~src_off ~dst:copy ~dst_off:copy_off ~dim], in one pass
+      over the source: a remote stamp is merged into the receiving node's
+      clock and stored with its copy of the value.  The source may be the
+      [dst] window itself; the [copy] window must not overlap either of the
+      other two, and [src] must not overlap [dst] except by being that same
+      window. *)
 
   val blit : src:int array -> src_off:int -> dst:int array -> dst_off:int -> dim:int -> unit
   (** [Array.blit src src_off dst dst_off dim], overlapping windows of one
@@ -92,7 +117,8 @@ module Flat : sig
       both directions have differed. *)
 
   val lt : int array -> a_off:int -> int array -> b_off:int -> dim:int -> bool
-  (** Strictly before on the product order — agrees with {!Vclock.lt}. *)
+  (** Strictly before on the product order — agrees with {!Vclock.lt};
+      stops scanning once [a] exceeds [b] somewhere. *)
 
   val leq : int array -> a_off:int -> int array -> b_off:int -> dim:int -> bool
 end

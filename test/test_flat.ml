@@ -23,25 +23,19 @@ module Value = Dsm_memory.Value
 module Wid = Dsm_memory.Wid
 module Owner = Dsm_memory.Owner
 
-let nodes = 4
-
 let loc_of id = Loc.indexed "x" id
 
-let owner_of_loc id = id mod nodes
-
-(* One reference cluster + one flat state over [locs] locations, with
-   matching layouts. *)
-let make_pair ~locs =
+(* One reference cluster + one flat state of [nodes] nodes over [locs]
+   locations, with matching layouts. *)
+let make_pair ~nodes ~locs =
   let owner = Owner.by_index ~nodes in
   let ref_nodes = Array.init nodes (fun id -> Node.create ~id ~owner ~config:Config.default) in
   (* Sanity: the interner-style dense layout must agree with Owner.by_index
      for the locations the test uses. *)
   for l = 0 to locs - 1 do
-    assert (Owner.owner owner (loc_of l) = owner_of_loc l)
+    assert (Owner.owner owner (loc_of l) = l mod nodes)
   done;
-  let flat =
-    Flat.create ~nodes ~locs ~owner:(Array.init locs owner_of_loc) ()
-  in
+  let flat = Flat.create ~nodes ~locs ~owner:(Array.init locs (fun l -> l mod nodes)) () in
   (ref_nodes, flat)
 
 (* {2 The op language}
@@ -57,23 +51,29 @@ let pp_op (tag, a, b, stamp) =
   Printf.sprintf "(%d,%d,%d,[%s])" tag a b
     (String.concat ";" (List.map string_of_int (interpret_stamp stamp)))
 
-(* A case is a location count and an op sequence.  Counts run from 6 to
-   32, so on some cases (about one in ten) a node caches more locations
-   than its initial stamp pool holds, and the pool grows mid-sequence. *)
+(* A case is a node count, a location count and an op sequence.  The
+   stamp kernels work in blocks of four components and a tail: 4 nodes is
+   one block, 7 a block and a tail, 10 two blocks and a tail, and stamp
+   windows then start at offsets that are not multiples of four.  Location
+   counts run from 6 to 32, so on some cases (about one in ten at 4 nodes,
+   more at 7 and 10) a node caches more locations than its initial stamp
+   pool holds, and the pool grows mid-sequence. *)
 let gen_case =
   QCheck.make
-    ~print:(fun (locs, ops) ->
-      Printf.sprintf "locs %d: %s" locs (String.concat " " (List.map pp_op ops)))
+    ~print:(fun (nodes, locs, ops) ->
+      Printf.sprintf "nodes %d, locs %d: %s" nodes locs (String.concat " " (List.map pp_op ops)))
     QCheck.Gen.(
-      pair (int_range 6 32)
+      let* nodes = oneofl [ 4; 7; 10 ] in
+      triple (return nodes) (int_range 6 32)
         (list_size (int_range 1 100)
            (quad (int_range 0 5) (int_range 0 95) (int_range 0 99)
               (list_size (return nodes) (int_range 0 4)))))
 
 (* Apply one op to both sides; return false on any verdict mismatch. *)
 let apply (ref_nodes : Node.t array) (flat : Flat.t) ((tag, a, b, stamp) : op) : bool =
+  let nodes = Flat.nodes flat in
   let l = a mod Flat.locations flat in
-  let o = owner_of_loc l in
+  let o = l mod nodes in
   let v = b mod 10 in
   match tag with
   | 0 ->
@@ -175,14 +175,14 @@ let states_agree (ref_nodes : Node.t array) (flat : Flat.t) : bool =
   !ok
 
 let prop_flat_agrees_with_node =
-  QCheck.Test.make ~name:"flat data path agrees with Node step for step" ~count:400 gen_case
-    (fun (locs, ops) ->
-      let ref_nodes, flat = make_pair ~locs in
+  QCheck.Test.make ~name:"flat data path agrees with Node step for step" ~count:600 gen_case
+    (fun (nodes, locs, ops) ->
+      let ref_nodes, flat = make_pair ~nodes ~locs in
       List.for_all (apply ref_nodes flat) ops && states_agree ref_nodes flat)
 
 let prop_flat_counters_consistent =
-  QCheck.Test.make ~name:"flat counters add up" ~count:200 gen_case (fun (locs, ops) ->
-      let ref_nodes, flat = make_pair ~locs in
+  QCheck.Test.make ~name:"flat counters add up" ~count:200 gen_case (fun (nodes, locs, ops) ->
+      let ref_nodes, flat = make_pair ~nodes ~locs in
       List.iter (fun op -> ignore (apply ref_nodes flat op)) ops;
       let c = Flat.counters flat in
       c.Flat.writes_owned >= 0
