@@ -45,11 +45,11 @@ let sim_params ~nodes ~seed =
 
 (* A fresh engine at the core workload's full size: the heap it holds, and
    the minor words per op its first round allocates.  The heap is Flat's
-   per-entry arrays plus one small stamp pool per node, about 6 MB; the
-   ceiling catches a return to dense stamps: a window for every (node,
-   location) pair is 128 MiB at this size.  A round allocates its
-   buffers once and then nothing per op; the gate catches a box back on
-   that path, such as a boxed PRNG draw (about 20 words per op). *)
+   slot index plus one small pool per node, 3.6 MB; the ceiling, 4 MB,
+   catches any array of a word per (node, location) pair coming back, 0.5
+   MiB at this size.  A round allocates its buffers once and then nothing
+   per op; the gate catches a box back on that path, such as a boxed PRNG
+   draw (about 20 words per op). *)
 let engine_row ~seed =
   let nodes = 256 and target_ops = 100_000 in
   let before = live_heap_mb () in
@@ -65,7 +65,7 @@ let engine_row ~seed =
       layers = [ ("par.heap_mb", Float held); ("par.minor_words_per_op", Float words) ];
     },
     [
-      Report.check "par.heap_mb" (Float held) `Le (Float 32.0);
+      Report.check "par.heap_mb" (Float held) `Le (Float 4.0);
       Report.check "par.minor_words_per_op" (Float words) `Le (Float 1.0);
     ] )
 
@@ -272,9 +272,10 @@ let hot_paths_row ~budget =
       Vclock.Flat.bump clock ~off:(Flat.clock_off st w) w;
       Flat.certify st ~node:o ~loc:l ~value:!i ~wid_node:w ~wid_seq:!i ~stamp:clock
         ~stamp_off:(Flat.clock_off st w);
-      Flat.adopt_write_reply st ~node:w ~loc:l ~value:(Flat.last_value st ~node:o)
-        ~wid_node:(Flat.last_wid_node st ~node:o) ~wid_seq:(Flat.last_wid_seq st ~node:o)
-        ~stamp:(Flat.stamp_arena st ~node:o) ~stamp_off:(Flat.entry_off st ~node:o ~loc:l)
+      Flat.adopt_write_reply st ~node:w ~loc:l ~value:(Flat.entry_value st ~node:o ~loc:l)
+        ~wid_node:(Flat.entry_wid_node st ~node:o ~loc:l)
+        ~wid_seq:(Flat.entry_wid_seq st ~node:o ~loc:l) ~stamp:(Flat.stamp_arena st ~node:o)
+        ~stamp_off:(Flat.entry_off st ~node:o ~loc:l)
   in
   (* Two 256-wide windows, sim-256's stamp width, at odd offsets of one
      arena: [w_b] equals [w_a] but for its last component, one higher, so

@@ -11,7 +11,7 @@ val micro : quick:bool -> seed:int64 -> Report.row list * Report.check list
     queue, the checkers, a cluster round trip, a heartbeat tick, a flat
     remote-write cycle), hand-timed.  Checks: flat at least 5x faster (the
     median of the batches' ratios) with at most 0.01 minor- and 0.01
-    major-heap words per op, at most 32 MB held by the engine, at most 1
+    major-heap words per op, at most 4 MB held by the engine, at most 1
     minor word per op in its first 100k ops, and at most 16 minor words per
     op in the online checker. *)
 

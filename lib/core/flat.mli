@@ -1,18 +1,19 @@
 (** The flattened Figure-4 data path: the owner-write / certify /
     install-remote / adopt services of the causal-memory protocol over
-    flat [int] arenas.  Each node keeps the writestamps of the entries it
-    holds in its own pool, which grows to the node's peak occupancy; after
-    that no operation allocates.
+    flat [int] arenas.  Each entry a node holds is one slot of that node's
+    pool: a four-word header (location, value, writer node, writer seq)
+    followed by the entry's writestamp, [nodes] words.  A pool grows to
+    its node's peak occupancy; after that no operation allocates.
 
     This is the data plane twin of {!Node} under the default configuration
-    (Coarse invalidation, no mutation): same clock-merge order, same
-    certification verdicts, same invalidate-older rule — property tests pin
-    the agreement step for step.  Locations are dense ids from a
-    {!Dsm_memory.Loc.Interner}; values are plain ints (the data plane
-    carries machine words, the structured {!Dsm_memory.Value} stays in the
-    control plane).  Results of each operation are exposed through [last_*]
-    out-fields indexed by the acting node instead of returned records; read
-    them before that node's next step.
+    (Coarse invalidation, no mutation, last writer wins): same clock-merge
+    order, same certification verdicts, same invalidate-older rule —
+    property tests pin the agreement step for step.  Locations are dense
+    ids from a {!Dsm_memory.Loc.Interner}; values are plain ints (the data
+    plane carries machine words, the structured {!Dsm_memory.Value} stays
+    in the control plane).  A service's result is the entry it leaves
+    behind, read through {!entry_value}, {!entry_wid_node},
+    {!entry_wid_seq} and {!entry_off}.
 
     Every mutable cell is indexed by the acting node, so shards that
     partition the nodes (see {!Dsm_sim.Par_engine}) may run services
@@ -27,15 +28,12 @@
 
 type t
 
-type policy = Lww  (** {!Policy.Last_writer_wins} *) | Owner_favored
-
-val create :
-  ?policy:policy -> ?init_value:int -> nodes:int -> locs:int -> owner:int array -> unit -> t
-(** [owner.(loc)] is the owning node of each interned location id.  Every
-    per-entry array is sized here; each node's stamp pool starts with a
-    slot per owned location plus a few spare ones.  Owned locations start
-    present with [init_value], a zero stamp, and the virtual initial wid,
-    as {!Node.lookup} materialises them.  Later, an install or adopt that
+val create : nodes:int -> locs:int -> owner:int array -> unit -> t
+(** [owner.(loc)] is the owning node of each interned location id.  Each
+    node's pool starts with a slot per owned location, which holds that
+    entry for good, plus a few spare ones.  Owned locations start present
+    holding 0 under a zero stamp and the virtual initial wid, as
+    {!Node.lookup} materialises them.  Later, an install or adopt that
     brings a node to more entries than it ever held doubles that node's
     pool; nothing else allocates. *)
 
@@ -68,12 +66,13 @@ val certify :
   stamp_off:int ->
   unit
 (** {!Node.certify_write}: merge the incoming writestamp into the owner's
-    clock, resolve against the current entry (After accepts, Before/Equal
-    rejects, Concurrent goes to policy), store accepted writes under the
-    merged clock, and run the invalidate-older pass against it.  A
-    duplicate wid (RPC retry) is idempotently accepted.  [last_accepted t]
-    is the W_REPLY verdict; the [last_*] fields carry the surviving entry
-    either way. *)
+    clock, resolve against the current entry (After and Concurrent accept
+    — last writer wins — Before/Equal rejects), store accepted writes
+    under the merged clock, and run the invalidate-older pass against it.
+    A duplicate wid (RPC retry) is idempotently accepted.  The write was
+    accepted exactly when [node]'s entry for [loc] now carries its wid
+    (wids are unique: see {!fresh_seq}); the entry is the W_REPLY either
+    way. *)
 
 val install_remote :
   t ->
@@ -87,7 +86,7 @@ val install_remote :
   unit
 (** {!Node.install_remote}: R_REPLY at the client — merge the entry's
     stamp, cache the copy, invalidate cached entries strictly older than
-    it. *)
+    it.  [loc] must not be owned by [node]. *)
 
 val adopt_write_reply :
   t ->
@@ -100,11 +99,12 @@ val adopt_write_reply :
   stamp_off:int ->
   unit
 (** {!Node.adopt_write_reply}: W_REPLY at the client — merge and cache the
-    certified entry; no invalidation pass. *)
+    certified entry; no invalidation pass.  [loc] must not be owned by
+    [node]. *)
 
 val read : t -> node:int -> loc:int -> unit
-(** Local read into the [last_*] fields: [last_accepted] is the hit flag; a
-    miss reports [init_value] under the initial wid and changes nothing. *)
+(** Local read: counts a hit or a miss ({!cached_hit}).  A hit reads the
+    entry, through the [entry_*] accessors; a miss changes nothing else. *)
 
 val cached_hit : t -> node:int -> loc:int -> bool
 
@@ -114,23 +114,13 @@ val fresh_seq : t -> node:int -> int
     wids stay unique. *)
 
 val entry_value : t -> node:int -> loc:int -> int
-(** Raw entry fields, allocation-free; meaningful only when the entry is
-    present ({!cached_hit}). *)
+(** Raw entry fields, allocation-free; the entry must be present
+    ({!cached_hit}). *)
 
 val entry_wid_node : t -> node:int -> loc:int -> int
-
-val entry_wid_seq : t -> node:int -> loc:int -> int
-
-(** {1 Completion out-fields} — per acting node. *)
-
-val last_accepted : t -> node:int -> bool
-
-val last_value : t -> node:int -> int
-
-val last_wid_node : t -> node:int -> int
 (** [-1] is the virtual initial write, as {!Dsm_memory.Wid.initial}. *)
 
-val last_wid_seq : t -> node:int -> int
+val entry_wid_seq : t -> node:int -> loc:int -> int
 
 (** {1 Observers} — setup/verification-time; these may allocate. *)
 
@@ -145,10 +135,11 @@ val clock_arena : t -> int array
 val clock_off : t -> int -> int
 
 val stamp_arena : t -> node:int -> int array
-(** [node]'s live writestamp pool: the stamp of each entry the node holds
-    is the window at {!entry_off}.  The node's next {!install_remote} or
-    {!adopt_write_reply} may replace the pool with a bigger copy, so fetch
-    it again after either. *)
+(** [node]'s live pool: slot [s] is the [nodes t + 4] words from
+    [s * (nodes t + 4)], a four-word header and then the entry's stamp,
+    whose window starts at {!entry_off}.  The node's next
+    {!install_remote} or {!adopt_write_reply} may replace the pool with a
+    bigger copy, so fetch it again after either. *)
 
 val entry_off : t -> node:int -> loc:int -> int
 (** Offset of a present entry's stamp in its node's {!stamp_arena}. *)

@@ -110,7 +110,11 @@ val install_batch : t -> (Dsm_memory.Loc.t * Stamped.t) list -> unit
     batch entry is the owner's current (most recently certified) value of a
     location that owner serialises, so none of them can be an overwritten
     value.  [install_batch t [(loc, e)]] coincides with
-    [install_remote t loc e]. *)
+    [install_remote t loc e] unless [t] already caches [loc] at least as
+    new as [e]: then the batch skips the entry and runs no pass, where
+    [install_remote] stores it again and runs the pass, which may
+    invalidate entries cached since then that are strictly older than
+    [e]. *)
 
 val page_entries : t -> Dsm_memory.Loc.t -> (Dsm_memory.Loc.t * Stamped.t) list
 (** Owner side of page granularity: the other entries of [loc]'s page this

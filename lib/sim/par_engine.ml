@@ -49,10 +49,11 @@
    - write elsewhere: the writer ticks its own clock component (the write
      is an event at the writer, mirroring [local_write]'s increment),
      stamps with its clock, sends W_REQ; the owner certifies; W_REPLY
-     adopts whatever the owner now stores.  Under last-writer-wins the
-     fresh tick makes the stamp either After or Concurrent with the
-     owner's entry, so workload writes are never rejected — but the
-     R_REPLY/W_REPLY machinery handles rejection anyway. *)
+     carries the owner's entry after certification, and the writer adopts
+     it.  Under last-writer-wins the fresh tick makes the stamp either
+     After or Concurrent with the owner's entry, so workload writes are
+     never rejected — and since a rejected write's W_REPLY would carry
+     the entry that beat it, W_REPLY needs no verdict. *)
 
 module Flat = Dsm_protocol.Flat
 module Prng = Dsm_util.Prng
@@ -86,9 +87,7 @@ let m_w_req = 1
 
 let m_r_reply = 2
 
-let m_w_reply_acc = 3
-
-let m_w_reply_rej = 4
+let m_w_reply = 3
 
 (* Packed op-log records, stride 5: [kind(0=read,1=write); loc; value;
    wid_node; wid_seq].  For reads the wid is the reads-from wid. *)
@@ -211,6 +210,16 @@ let log_op t ~node ~kind ~loc ~value ~wid_node ~wid_seq =
 
 (* {2 One shard, one epoch} *)
 
+(* Owner [owner] answers [dst] with its entry for [loc]. *)
+let reply_entry t ~kind ~owner ~dst ~loc =
+  let flat = t.flat in
+  send t ~kind ~src:owner ~dst ~loc
+    ~value:(Flat.entry_value flat ~node:owner ~loc)
+    ~wid_node:(Flat.entry_wid_node flat ~node:owner ~loc)
+    ~wid_seq:(Flat.entry_wid_seq flat ~node:owner ~loc)
+    ~stamp:(Flat.stamp_arena flat ~node:owner)
+    ~stamp_off:(Flat.entry_off flat ~node:owner ~loc)
+
 let serve_message t b o =
   let kind = b.(o)
   and src = b.(o + 1)
@@ -221,29 +230,13 @@ let serve_message t b o =
   and wid_seq = b.(o + 6) in
   let soff = o + 7 in
   let flat = t.flat in
-  if kind = m_r_req then begin
+  if kind = m_r_req then
     (* Owner serves a read: reply with the current entry (owned locations
        are always present). *)
-    let stamps = Flat.stamp_arena flat ~node:dst in
-    send t ~kind:m_r_reply ~src:dst ~dst:src ~loc
-      ~value:(Flat.entry_value flat ~node:dst ~loc)
-      ~wid_node:(Flat.entry_wid_node flat ~node:dst ~loc)
-      ~wid_seq:(Flat.entry_wid_seq flat ~node:dst ~loc)
-      ~stamp:stamps
-      ~stamp_off:(Flat.entry_off flat ~node:dst ~loc)
-  end
+    reply_entry t ~kind:m_r_reply ~owner:dst ~dst:src ~loc
   else if kind = m_w_req then begin
     Flat.certify flat ~node:dst ~loc ~value ~wid_node ~wid_seq ~stamp:b ~stamp_off:soff;
-    let accepted = Flat.last_accepted flat ~node:dst in
-    let stamps = Flat.stamp_arena flat ~node:dst in
-    send t
-      ~kind:(if accepted then m_w_reply_acc else m_w_reply_rej)
-      ~src:dst ~dst:src ~loc
-      ~value:(Flat.last_value flat ~node:dst)
-      ~wid_node:(Flat.last_wid_node flat ~node:dst)
-      ~wid_seq:(Flat.last_wid_seq flat ~node:dst)
-      ~stamp:stamps
-      ~stamp_off:(Flat.entry_off flat ~node:dst ~loc)
+    reply_entry t ~kind:m_w_reply ~owner:dst ~dst:src ~loc
   end
   else if kind = m_r_reply then begin
     Flat.install_remote flat ~node:dst ~loc ~value ~wid_node ~wid_seq ~stamp:b ~stamp_off:soff;
@@ -252,8 +245,8 @@ let serve_message t b o =
     t.completed.(dst) <- t.completed.(dst) + 1
   end
   else begin
-    (* W_REPLY (accepted or not): adopt what the owner stores, and log the
-       client's own write — its wid was fixed at issue time. *)
+    (* W_REPLY: adopt what the owner stores, and log the client's own
+       write — its wid was fixed at issue time. *)
     Flat.adopt_write_reply flat ~node:dst ~loc ~value ~wid_node ~wid_seq ~stamp:b
       ~stamp_off:soff;
     log_op t ~node:dst ~kind:1 ~loc:t.pending_loc.(dst) ~value:t.pending_value.(dst)
@@ -296,9 +289,9 @@ let generate t node =
       if Flat.cached_hit flat ~node ~loc then begin
         Flat.read flat ~node ~loc;
         log_op t ~node ~kind:0 ~loc
-          ~value:(Flat.last_value flat ~node)
-          ~wid_node:(Flat.last_wid_node flat ~node)
-          ~wid_seq:(Flat.last_wid_seq flat ~node);
+          ~value:(Flat.entry_value flat ~node ~loc)
+          ~wid_node:(Flat.entry_wid_node flat ~node ~loc)
+          ~wid_seq:(Flat.entry_wid_seq flat ~node ~loc);
         t.completed.(node) <- t.completed.(node) + 1
       end
       else begin
@@ -314,7 +307,7 @@ let generate t node =
       if Flat.owner_of flat loc = node then begin
         Flat.owner_write flat ~node ~loc ~value;
         log_op t ~node ~kind:1 ~loc ~value ~wid_node:node
-          ~wid_seq:(Flat.last_wid_seq flat ~node);
+          ~wid_seq:(Flat.entry_wid_seq flat ~node ~loc);
         t.completed.(node) <- t.completed.(node) + 1
       end
       else begin

@@ -25,17 +25,17 @@ module Owner = Dsm_memory.Owner
 
 let loc_of id = Loc.indexed "x" id
 
-(* One reference cluster + one flat state of [nodes] nodes over [locs]
-   locations, with matching layouts. *)
-let make_pair ~nodes ~locs =
-  let owner = Owner.by_index ~nodes in
+(* One reference cluster + one flat state of [nodes] nodes over the
+   locations of [owners], location [l] owned by [owners.(l)] on both
+   sides. *)
+let make_pair ~nodes ~owners =
+  let owner =
+    Owner.make ~nodes (function
+      | Loc.Indexed ("x", l) -> owners.(l)
+      | loc -> invalid_arg ("make_pair: " ^ Loc.to_string loc))
+  in
   let ref_nodes = Array.init nodes (fun id -> Node.create ~id ~owner ~config:Config.default) in
-  (* Sanity: the interner-style dense layout must agree with Owner.by_index
-     for the locations the test uses. *)
-  for l = 0 to locs - 1 do
-    assert (Owner.owner owner (loc_of l) = l mod nodes)
-  done;
-  let flat = Flat.create ~nodes ~locs ~owner:(Array.init locs (fun l -> l mod nodes)) () in
+  let flat = Flat.create ~nodes ~locs:(Array.length owners) ~owner:owners () in
   (ref_nodes, flat)
 
 (* {2 The op language}
@@ -51,42 +51,53 @@ let pp_op (tag, a, b, stamp) =
   Printf.sprintf "(%d,%d,%d,[%s])" tag a b
     (String.concat ";" (List.map string_of_int (interpret_stamp stamp)))
 
-(* A case is a node count, a location count and an op sequence.  The
-   stamp kernels work in blocks of four components and a tail: 4 nodes is
-   one block, 7 a block and a tail, 10 two blocks and a tail, and stamp
-   windows then start at offsets that are not multiples of four.  Location
-   counts run from 6 to 32, so on some cases (about one in ten at 4 nodes,
-   more at 7 and 10) a node caches more locations than its initial stamp
-   pool holds, and the pool grows mid-sequence. *)
+(* A case is a node count, an owner for each location and an op
+   sequence.  The stamp kernels work in blocks of four components and a
+   tail: 4 nodes is one block, 7 a block and a tail, 10 two blocks and a
+   tail, and stamp windows then start at offsets that are not multiples of
+   four.  There are 6 to 32 locations.  Each goes to one heavy node with
+   weight [bias] (0 to 3) against 1 for a uniform draw, so layouts run
+   from uniform to one node owning nearly all, and many cases have nodes
+   that own nothing: a node's cached entries start after however many
+   slots its owned ones take.  On some cases a node caches more locations
+   than its initial pool holds, and the pool grows mid-sequence. *)
 let gen_case =
   QCheck.make
-    ~print:(fun (nodes, locs, ops) ->
-      Printf.sprintf "nodes %d, locs %d: %s" nodes locs (String.concat " " (List.map pp_op ops)))
+    ~print:(fun (nodes, owners, ops) ->
+      Printf.sprintf "nodes %d, owners [%s]: %s" nodes
+        (String.concat ";" (Array.to_list (Array.map string_of_int owners)))
+        (String.concat " " (List.map pp_op ops)))
     QCheck.Gen.(
       let* nodes = oneofl [ 4; 7; 10 ] in
-      triple (return nodes) (int_range 6 32)
+      let* locs = int_range 6 32 and* heavy = int_bound (nodes - 1) and* bias = int_range 0 3 in
+      triple (return nodes)
+        (array_repeat locs (frequency [ (bias, return heavy); (1, int_bound (nodes - 1)) ]))
         (list_size (int_range 1 100)
            (quad (int_range 0 5) (int_range 0 95) (int_range 0 99)
               (list_size (return nodes) (int_range 0 4)))))
+
+(* [node]'s entry for [loc] carries the wid [(wn, ws)]. *)
+let carries flat ~node ~loc (wn, ws) =
+  Flat.entry_wid_node flat ~node ~loc = wn && Flat.entry_wid_seq flat ~node ~loc = ws
+
+let wid_of (entry : Stamped.t) = (entry.Stamped.wid.Wid.node, entry.Stamped.wid.Wid.seq)
 
 (* Apply one op to both sides; return false on any verdict mismatch. *)
 let apply (ref_nodes : Node.t array) (flat : Flat.t) ((tag, a, b, stamp) : op) : bool =
   let nodes = Flat.nodes flat in
   let l = a mod Flat.locations flat in
-  let o = l mod nodes in
+  let o = Flat.owner_of flat l in
   let v = b mod 10 in
   match tag with
   | 0 ->
       (* Owner write. *)
       let entry = Node.local_write ref_nodes.(o) (loc_of l) (Value.Int v) in
       Flat.owner_write flat ~node:o ~loc:l ~value:v;
-      Flat.last_accepted flat ~node:o
-      && Flat.last_value flat ~node:o = v
-      && Flat.last_wid_node flat ~node:o = (entry.Stamped.wid : Wid.t).Wid.node
-      && Flat.last_wid_seq flat ~node:o = entry.Stamped.wid.Wid.seq
+      Flat.entry_value flat ~node:o ~loc:l = v && carries flat ~node:o ~loc:l (wid_of entry)
   | 1 ->
       (* Certify an externally stamped write (covers After / Before / Equal /
-         Concurrent against whatever the owner currently stores). *)
+         Concurrent against whatever the owner currently stores).  Flat
+         accepted it exactly when the entry now carries its wid. *)
       let st = Array.of_list (interpret_stamp stamp) in
       let wid_node = b mod nodes and wid_seq = a mod 7 in
       let incoming =
@@ -96,9 +107,8 @@ let apply (ref_nodes : Node.t array) (flat : Flat.t) ((tag, a, b, stamp) : op) :
       let accepted = ref false in
       let stored = Node.certify_write ref_nodes.(o) (loc_of l) incoming ~accepted in
       Flat.certify flat ~node:o ~loc:l ~value:v ~wid_node ~wid_seq ~stamp:st ~stamp_off:0;
-      Flat.last_accepted flat ~node:o = !accepted
-      && Flat.last_wid_node flat ~node:o = stored.Stamped.wid.Wid.node
-      && Flat.last_wid_seq flat ~node:o = stored.Stamped.wid.Wid.seq
+      carries flat ~node:o ~loc:l (wid_node, wid_seq) = !accepted
+      && carries flat ~node:o ~loc:l (wid_of stored)
   | 2 | 3 ->
       (* Ship the owner's current entry to a non-owner: R_REPLY install
          (tag 2) or W_REPLY adoption (tag 3).  The entry is read from the
@@ -138,19 +148,18 @@ let apply (ref_nodes : Node.t array) (flat : Flat.t) ((tag, a, b, stamp) : op) :
             ~value:(Value.to_int entry.Stamped.value)
             ~wid_node:entry.Stamped.wid.Wid.node ~wid_seq:entry.Stamped.wid.Wid.seq ~stamp:st
             ~stamp_off:0;
-          !accepted && Flat.last_accepted flat ~node:o )
+          !accepted && carries flat ~node:o ~loc:l (wid_of entry) )
   | _ ->
       (* Read. *)
       let n = b mod nodes in
       Flat.read flat ~node:n ~loc:l;
-      let hit = Flat.last_accepted flat ~node:n in
+      let hit = Flat.cached_hit flat ~node:n ~loc:l in
       ( match Node.lookup ref_nodes.(n) (loc_of l) with
       | None -> not hit
       | Some entry ->
           hit
-          && Flat.last_value flat ~node:n = Value.to_int entry.Stamped.value
-          && Flat.last_wid_node flat ~node:n = entry.Stamped.wid.Wid.node
-          && Flat.last_wid_seq flat ~node:n = entry.Stamped.wid.Wid.seq )
+          && Flat.entry_value flat ~node:n ~loc:l = Value.to_int entry.Stamped.value
+          && carries flat ~node:n ~loc:l (wid_of entry) )
 
 (* Full-state agreement: clocks, cache sizes, and every (node, loc)
    entry. *)
@@ -176,13 +185,13 @@ let states_agree (ref_nodes : Node.t array) (flat : Flat.t) : bool =
 
 let prop_flat_agrees_with_node =
   QCheck.Test.make ~name:"flat data path agrees with Node step for step" ~count:600 gen_case
-    (fun (nodes, locs, ops) ->
-      let ref_nodes, flat = make_pair ~nodes ~locs in
+    (fun (nodes, owners, ops) ->
+      let ref_nodes, flat = make_pair ~nodes ~owners in
       List.for_all (apply ref_nodes flat) ops && states_agree ref_nodes flat)
 
 let prop_flat_counters_consistent =
-  QCheck.Test.make ~name:"flat counters add up" ~count:200 gen_case (fun (nodes, locs, ops) ->
-      let ref_nodes, flat = make_pair ~nodes ~locs in
+  QCheck.Test.make ~name:"flat counters add up" ~count:200 gen_case (fun (nodes, owners, ops) ->
+      let ref_nodes, flat = make_pair ~nodes ~owners in
       List.iter (fun op -> ignore (apply ref_nodes flat op)) ops;
       let c = Flat.counters flat in
       c.Flat.writes_owned >= 0
@@ -224,15 +233,14 @@ let drive_hot_loop flat ~iters =
     (* The owner's pool: only the owner's own installs could replace it. *)
     let stamps = Flat.stamp_arena flat ~node:o in
     let e = Flat.entry_off flat ~node:o ~loc:l in
-    Flat.adopt_write_reply flat ~node:w ~loc:l ~value:(Flat.last_value flat ~node:o)
-      ~wid_node:(Flat.last_wid_node flat ~node:o) ~wid_seq:(Flat.last_wid_seq flat ~node:o)
-      ~stamp:stamps ~stamp_off:e;
+    let value = Flat.entry_value flat ~node:o ~loc:l
+    and wid_node = Flat.entry_wid_node flat ~node:o ~loc:l
+    and wid_seq = Flat.entry_wid_seq flat ~node:o ~loc:l in
+    Flat.adopt_write_reply flat ~node:w ~loc:l ~value ~wid_node ~wid_seq ~stamp:stamps ~stamp_off:e;
     (* R_REPLY install at a third node, then reads everywhere. *)
     let r = (w + 1) mod n in
     if r <> o then
-      Flat.install_remote flat ~node:r ~loc:l ~value:(Flat.last_value flat ~node:o)
-        ~wid_node:(Flat.last_wid_node flat ~node:o) ~wid_seq:(Flat.last_wid_seq flat ~node:o)
-        ~stamp:stamps ~stamp_off:e;
+      Flat.install_remote flat ~node:r ~loc:l ~value ~wid_node ~wid_seq ~stamp:stamps ~stamp_off:e;
     Flat.read flat ~node:o ~loc:l;
     Flat.read flat ~node:w ~loc:l;
     Flat.read flat ~node:r ~loc:((l + 1) mod locs)
@@ -284,8 +292,8 @@ let test_certify_rejects_stale () =
   Flat.owner_write flat ~node:0 ~loc:0 ~value:7;
   let stale = [| 0; 0 |] in
   Flat.certify flat ~node:0 ~loc:0 ~value:9 ~wid_node:1 ~wid_seq:0 ~stamp:stale ~stamp_off:0;
-  Alcotest.(check bool) "rejected" false (Flat.last_accepted flat ~node:0);
-  Alcotest.(check int) "value kept" 7 (Flat.last_value flat ~node:0);
+  Alcotest.(check bool) "rejected" false (carries flat ~node:0 ~loc:0 (1, 0));
+  Alcotest.(check int) "value kept" 7 (Flat.entry_value flat ~node:0 ~loc:0);
   match Flat.entry_view flat ~node:0 ~loc:0 with
   | Some (v, _, _, _) -> Alcotest.(check int) "stored kept" 7 v
   | None -> Alcotest.fail "owner entry missing"
@@ -303,13 +311,13 @@ let test_install_invalidates_older () =
   (* A later write at node 1 whose stamp has heard node 0's write. *)
   let dom = [| 1; 1; 0 |] in
   Flat.certify flat ~node:1 ~loc:1 ~value:5 ~wid_node:2 ~wid_seq:0 ~stamp:dom ~stamp_off:0;
-  Alcotest.(check bool) "accepted" true (Flat.last_accepted flat ~node:1);
+  Alcotest.(check bool) "accepted" true (carries flat ~node:1 ~loc:1 (2, 0));
   let e1 = Flat.entry_off flat ~node:1 ~loc:1 in
   Flat.install_remote flat ~node:2 ~loc:1 ~value:5 ~wid_node:2 ~wid_seq:0
     ~stamp:(Flat.stamp_arena flat ~node:1) ~stamp_off:e1;
   Alcotest.(check bool) "older cache invalidated" false (Flat.cached_hit flat ~node:2 ~loc:0);
   Alcotest.(check bool) "new cache present" true (Flat.cached_hit flat ~node:2 ~loc:1);
-  Alcotest.(check int) "swap-remove bookkeeping" 1 (Flat.cached_count flat 2)
+  Alcotest.(check int) "freed slot not counted" 1 (Flat.cached_count flat 2)
 
 (* Node 0 owns all 64 locations, so node 1's pool starts with a few spare
    slots only.  Node 1 caches every location (newest first, so no install
@@ -336,7 +344,8 @@ let test_pool_grows_and_reuses_slots () =
           ~stamp:(Vclock.to_array entry.Stamped.stamp) ~stamp_off:0;
         if not (states_agree ref_nodes flat) then Alcotest.failf "diverged after installing x.%d" l
   in
-  let pool_slots () = Array.length (Flat.stamp_arena flat ~node:1) / 2 in
+  (* A slot is a four-word header and a 2-node stamp. *)
+  let pool_slots () = Array.length (Flat.stamp_arena flat ~node:1) / (4 + 2) in
   let initial = pool_slots () in
   for l = 0 to locs - 1 do
     owner_write l

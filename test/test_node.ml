@@ -256,7 +256,29 @@ let test_install_batch_singleton_is_install_remote () =
   Alcotest.(check bool) "same cache contents" true
     (List.sort compare (List.map Loc.to_string (Node.cached_locs n1))
     = List.sort compare (List.map Loc.to_string (Node.cached_locs n2)));
-  Alcotest.(check bool) "same clock" true (Vclock.equal (Node.vt n1) (Node.vt n2))
+  Alcotest.(check bool) "same clock" true (Vclock.equal (Node.vt n1) (Node.vt n2));
+  (* They differ on a re-install.  Over 3 nodes, node 1 writes x.1 and
+     node 0 installs it, then node 0 writes x.0.  A reader installs x.0,
+     then the older x.1, then x.0 again: the batch skips x.0, which is
+     cached as new, and keeps both; install_remote runs its pass again
+     and invalidates x.1. *)
+  let owner3 = Owner.by_index ~nodes:3 and x i = Loc.indexed "x" i in
+  let node id = Node.create ~id ~owner:owner3 ~config:Config.default in
+  let n0 = node 0 and n1 = node 1 in
+  let x1 = Node.local_write n1 (x 1) (Value.Int 1) in
+  Node.install_remote n0 (x 1) x1;
+  let x0 = Node.local_write n0 (x 0) (Value.Int 2) in
+  let reinstall again =
+    let r = node 2 in
+    Node.install_remote r (x 0) x0;
+    Node.install_remote r (x 1) x1;
+    again r;
+    (Node.cache_size r, (Node.stats r).Node_stats.invalidations)
+  in
+  Alcotest.(check (pair int int)) "batch: 2 cached, 0 invalidated" (2, 0)
+    (reinstall (fun r -> Node.install_batch r [ (x 0, x0) ]));
+  Alcotest.(check (pair int int)) "install_remote: 1 cached, 1 invalidated" (1, 1)
+    (reinstall (fun r -> Node.install_remote r (x 0) x0))
 
 let test_fresh_wid_sequence () =
   let n = make 0 in
